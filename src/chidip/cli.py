@@ -46,6 +46,19 @@ SCENARIOS = {
 }
 
 _BASE_HEADER = "x,gamma_s,gamma_as,delta,f1,f2,e_int"
+
+_SCENE = ("sweep", "dynamics")
+_MEDIUM = ("sweep", "dynamics", "lamb")
+
+# flag -> subcommands that take it; each flag is also a config key (its
+# name without the leading '--', '-' replaced by '_').  --config is taken
+# by every subcommand and is not a config key.
+_FLAGS = {
+    "--scenario": _SCENE, "--d1": _SCENE, "--d2": _SCENE, "--axis": _SCENE,
+    "--n-left": _MEDIUM, "--n-right": _MEDIUM, "--n-bar": _MEDIUM,
+    "--rotation": _MEDIUM, "--x": _SCENE, "--time": _SCENE,
+    "--format": _MEDIUM, "--lamb-cutoff": ("sweep", "lamb"),
+}
 _DEFAULT_X = "0.5:10:200"
 _DEFAULT_TIME_GRID = "0:5:200"
 
@@ -132,6 +145,8 @@ def _parse_range(text, flag, default_points=None):
         raise UsageError(f"{flag} expects START:STOP:POINTS — got {text!r}")
     start = _parse_float(parts[0], flag)
     stop = _parse_float(parts[1], flag)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"{flag}: START and STOP must be finite, got {text!r}")
     try:
         points = int(parts[2])
     except ValueError:
@@ -165,21 +180,31 @@ def _read_config(path, allowed):
     return values
 
 
-def _merge_config(args, parser_keys):
-    """Fill flag values that were left at None from the config file."""
-    if args.config is None:
-        return
-    file_values = _read_config(args.config, parser_keys)
-    for key, value in file_values.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+def _parse_flags(command, tokens):
+    """Parse a subcommand's flags, then fill the unset ones from --config."""
+    parser = argparse.ArgumentParser(prog=f"chidip {command}", add_help=False)
+    keys = set()
+    for flag, commands in _FLAGS.items():
+        if command in commands:
+            parser.add_argument(flag)
+            keys.add(flag[2:].replace("-", "_"))
+    parser.add_argument("--config")
+    try:
+        args = parser.parse_args(list(tokens))
+    except SystemExit:
+        raise UsageError(f"unrecognized {command} arguments") from None
+    if args.config is not None:
+        for key, value in _read_config(args.config, keys).items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+    return args
 
 
 def _resolve_medium(args) -> MediumChirality:
-    n_left = getattr(args, "n_left", None)
-    n_right = getattr(args, "n_right", None)
-    n_bar = getattr(args, "n_bar", None)
-    rotation = getattr(args, "rotation", None)
+    n_left = args.n_left
+    n_right = args.n_right
+    n_bar = args.n_bar
+    rotation = args.rotation
     if rotation is not None:
         if n_left is not None or n_right is not None:
             raise UsageError("--rotation is mutually exclusive with "
@@ -202,8 +227,8 @@ def _resolve_medium(args) -> MediumChirality:
 
 
 def _resolve_vectors(args):
-    given = {flag: getattr(args, flag, None) for flag in ("d1", "d2", "axis")}
-    scenario = getattr(args, "scenario", None)
+    given = {flag: getattr(args, flag) for flag in ("d1", "d2", "axis")}
+    scenario = args.scenario
     if scenario is None:
         raise UsageError("--scenario is required "
                          f"(one of: {', '.join(SCENARIOS)}, custom)")
@@ -225,25 +250,10 @@ def _resolve_vectors(args):
 
 
 def _resolve_format(args):
-    fmt = getattr(args, "format", None) or "csv"
+    fmt = args.format or "csv"
     if fmt not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {fmt!r}")
     return fmt
-
-
-def _add_common_flags(p):
-    p.add_argument("--scenario")
-    p.add_argument("--d1")
-    p.add_argument("--d2")
-    p.add_argument("--axis")
-    p.add_argument("--n-left", dest="n_left")
-    p.add_argument("--n-right", dest="n_right")
-    p.add_argument("--n-bar", dest="n_bar")
-    p.add_argument("--rotation")
-    p.add_argument("--x")
-    p.add_argument("--time")
-    p.add_argument("--format")
-    p.add_argument("--config")
 
 
 def parse_config(tokens) -> SweepRequest:
@@ -252,16 +262,7 @@ def parse_config(tokens) -> SweepRequest:
     tokens are the arguments of the sweep subcommand, e.g.
     ["--scenario", "isotropic", "--x", "0.5:10:200"].
     """
-    parser = argparse.ArgumentParser(prog="chidip sweep", add_help=False)
-    _add_common_flags(parser)
-    parser.add_argument("--lamb-cutoff", dest="lamb_cutoff")
-    try:
-        args = parser.parse_args(list(tokens))
-    except SystemExit:
-        raise UsageError("unrecognized sweep arguments") from None
-    keys = {"scenario", "d1", "d2", "axis", "n_left", "n_right", "n_bar",
-            "rotation", "x", "time", "format", "lamb_cutoff"}
-    _merge_config(args, keys)
+    args = _parse_flags("sweep", tokens)
     d1, d2, axis = _resolve_vectors(args)
     medium = _resolve_medium(args)
     x_start, x_stop, n_points = _parse_range(args.x or _DEFAULT_X, "--x",
@@ -315,15 +316,7 @@ def _cmd_sweep(tokens, out) -> int:
 
 
 def _cmd_dynamics(tokens, out) -> int:
-    parser = argparse.ArgumentParser(prog="chidip dynamics", add_help=False)
-    _add_common_flags(parser)
-    try:
-        args = parser.parse_args(list(tokens))
-    except SystemExit:
-        raise UsageError("unrecognized dynamics arguments") from None
-    keys = {"scenario", "d1", "d2", "axis", "n_left", "n_right", "n_bar",
-            "rotation", "x", "time", "format"}
-    _merge_config(args, keys)
+    args = _parse_flags("dynamics", tokens)
     d1, d2, axis = _resolve_vectors(args)
     medium = _resolve_medium(args)
     if args.x is None:
@@ -349,20 +342,7 @@ def _cmd_dynamics(tokens, out) -> int:
 
 
 def _cmd_lamb(tokens, out) -> int:
-    parser = argparse.ArgumentParser(prog="chidip lamb", add_help=False)
-    parser.add_argument("--n-left", dest="n_left")
-    parser.add_argument("--n-right", dest="n_right")
-    parser.add_argument("--n-bar", dest="n_bar")
-    parser.add_argument("--rotation")
-    parser.add_argument("--format")
-    parser.add_argument("--config")
-    parser.add_argument("--lamb-cutoff", dest="lamb_cutoff")
-    try:
-        args = parser.parse_args(list(tokens))
-    except SystemExit:
-        raise UsageError("unrecognized lamb arguments") from None
-    keys = {"n_left", "n_right", "n_bar", "rotation", "format", "lamb_cutoff"}
-    _merge_config(args, keys)
+    args = _parse_flags("lamb", tokens)
     medium = _resolve_medium(args)
     if args.lamb_cutoff is None:
         raise UsageError("lamb requires --lamb-cutoff LAMBDA")

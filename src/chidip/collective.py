@@ -44,6 +44,9 @@ from .specfun import aux_i1, aux_i2
 # bracket evaluation switches from trig to series below this y = n*x
 Y_SERIES = 0.05
 
+# below this y = n*x the 1/y^3 terms of f2 leave the float range
+_Y_MIN_F2 = 1e-100
+
 # conventions for mapping (mean index, specific rotation / k) -> (n_L, n_R)
 ROTATION_HALF_DIFFERENCE = "half-difference"   # rho = (n_L - n_R)/2
 ROTATION_FULL_DIFFERENCE = "difference"        # rho =  n_L - n_R
@@ -200,14 +203,24 @@ def f1(x: float, m: MediumChirality, g: GeometryInvariants) -> float:
 
 def f2(x: float, m: MediumChirality, g: GeometryInvariants) -> float:
     """Off-shell exchange function (collective shift; diverges ~1/x^3 as
-    x -> 0, the static dipole-dipole limit)."""
+    x -> 0, the static dipole-dipole limit).
+
+    Raises InvalidSeparation where that divergence is not representable:
+    n*x below 1e-100 in either channel, or a non-finite sum.
+    """
     _check_x(x)
     out = 0.0
     for s, n in m.channels:
         y = n * x
+        if y < _Y_MIN_F2:
+            raise InvalidSeparation(
+                f"separation x={x} is too small: f2 ~ 1/x^3 overflows")
         d1, d2, d3 = _f2_brackets(y)
         aux = (2 / math.pi) * (aux_i1(y).value / y + aux_i2(y).value / y**2)
         out += (3 * n / 8) * (g.a * d1 - g.b * d2 - s * g.c * (d3 + aux))
+    if not math.isfinite(out):
+        raise InvalidSeparation(
+            f"separation x={x} is too small: f2 ~ 1/x^3 overflows")
     return out
 
 

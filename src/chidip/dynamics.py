@@ -73,11 +73,13 @@ def evolve(a_l: complex, a_t: complex, times: ArrayLike) -> AmplitudeTrajectory:
 
     a_l, a_t are in Gamma0 units; raises UnphysicalRates if either exchange
     eigenmode would grow (Re(a_l) + |Re(a_t)| > 0) and DomainError for a
-    negative or unsorted time grid.
+    non-finite, negative or unsorted time grid.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.ndim != 1 or t.size == 0:
         raise DomainError("times must be a non-empty 1-d grid")
+    if not np.all(np.isfinite(t)):
+        raise DomainError("times must be finite")
     if np.any(t < 0.0) or np.any(np.diff(t) < 0.0):
         raise DomainError("times must be non-negative and sorted ascending")
     if complex(a_l).real + abs(complex(a_t).real) > 0.0:

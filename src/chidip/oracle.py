@@ -6,10 +6,14 @@ mode contributes its transverse dyadic
     M(k_hat, s) = e1 e1 + e2 e2 + s*i (e1 e2 - e2 e1),
 
 projected between the two dipole orientations and weighted by the
-propagation phase exp(i n_lambda x k_hat.r_hat).  The on-shell part (f1) is
-a plain spherical average at |k| = n_lambda k0; the off-shell part (f2)
-additionally performs the radial principal-value integral over the mode
-frequency, including the non-resonant branch.
+propagation phase exp(i n_lambda x k_hat.r_hat).  Both oracles share one
+angular reduction: with the polar axis along r_hat the phase depends on
+mu = k_hat.r_hat only, so the projected dyadic is averaged over phi (exact
+on a small uniform grid, since it is quadratic in k_hat) and the mu
+integral is done by Gauss-Legendre.  The on-shell part (f1) evaluates that
+average at |k| = n_lambda k0; the off-shell part (f2) additionally performs
+the radial principal-value integral over the mode frequency, including the
+non-resonant branch.
 
 Normalization is fixed analytically by the calibration limit: an inactive
 medium with parallel dipoles must give n_bar/2 as x -> 0, which pins the
@@ -28,6 +32,11 @@ pairwise averaging (Euler/Cesaro acceleration of an alternating series).
 The segment grid always reaches at least ``k_max`` (default 50) before
 acceleration.
 
+The auxiliary integrals I1/I2 of :mod:`chidip.specfun` have their own
+oracle here as well: adaptive quadrature of the defining integrals
+(``aux_i1_quadrature``/``aux_i2_quadrature``), kept out of the production
+modules so that importing them does not load ``scipy.integrate``.
+
 These functions are verification fixtures: production code should use the
 closed forms in :mod:`chidip.collective`, which are ~10^3 x faster.
 """
@@ -39,32 +48,31 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
 from .collective import MediumChirality
 from .errors import DomainError, OracleDivergence
 from .geometry import DipoleGeometry
+from .specfun import AuxIntegralResult
 
 log = logging.getLogger(__name__)
 
 _CHUNK = 512            # radial nodes per phase-matrix block (memory cap)
+_N_AZIMUTHAL = 16       # phi nodes; exact for the quadratic dyadic (>= 6)
 
 
 @dataclass(frozen=True)
 class SphericalQuadratureSpec:
-    """Gauss-Legendre x uniform-azimuth product rule on the unit sphere."""
+    """Gauss-Legendre rule in mu = k_hat.r_hat (polar axis along r_hat)."""
 
     n_polar: int = 64
-    n_azimuthal: int = 128
 
     def __post_init__(self):
         if self.n_polar < 8 or self.n_polar % 2:
             raise DomainError(f"n_polar must be even and >= 8, got {self.n_polar}")
-        if self.n_azimuthal < 16 or self.n_azimuthal % 2:
-            raise DomainError(
-                f"n_azimuthal must be even and >= 16, got {self.n_azimuthal}")
 
     def doubled(self) -> "SphericalQuadratureSpec":
-        return SphericalQuadratureSpec(2 * self.n_polar, 2 * self.n_azimuthal)
+        return SphericalQuadratureSpec(2 * self.n_polar)
 
 
 @dataclass(frozen=True)
@@ -144,61 +152,76 @@ def _projected_dyadic(khat, helicity, d1h, d2h):
     return b1 * a1 + b2 * a2 + helicity * 1j * (b1 * a2 - b2 * a1)
 
 
-def _sphere_nodes(q: SphericalQuadratureSpec):
-    """Lab-frame nodes and (dOmega/4pi)-normalized weights."""
-    mu, wmu = np.polynomial.legendre.leggauss(q.n_polar)
-    phi = 2.0 * np.pi * np.arange(q.n_azimuthal) / q.n_azimuthal
+# ---------------------------------------------------------------------------
+# angular reduction shared by both oracles
+
+def _reduced_angular(m, g, n_polar):
+    """phi-averaged projected dyadic on a mu-grid with polar axis r_hat.
+
+    With the polar axis aligned to the interdipole axis the propagation
+    phase depends on mu only, and the phi average of the (quadratic in
+    k_hat) projected dyadic is exact on the _N_AZIMUTHAL-point grid.
+    """
+    mu, wmu = np.polynomial.legendre.leggauss(n_polar)
+    z = np.array([0.0, 0.0, 1.0])
+    c = float(g.r_hat @ z)
+    if c > 1.0 - 1e-12:
+        rot = np.eye(3)
+    elif c < -1.0 + 1e-12:
+        rot = np.diag([1.0, -1.0, -1.0])
+    else:
+        v = np.cross(z, g.r_hat)
+        vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+        rot = np.eye(3) + vx + vx @ vx / (1.0 + c)
+    phi = 2.0 * np.pi * np.arange(_N_AZIMUTHAL) / _N_AZIMUTHAL
     st = np.sqrt(1.0 - mu**2)
     khat = np.stack([
         np.multiply.outer(st, np.cos(phi)),
         np.multiply.outer(st, np.sin(phi)),
         np.multiply.outer(mu, np.ones_like(phi)),
-    ], axis=-1).reshape(-1, 3)
-    w = np.multiply.outer(wmu, np.full(q.n_azimuthal,
-                                       1.0 / (2.0 * q.n_azimuthal))).ravel()
-    return khat, w
+    ], axis=-1).reshape(-1, 3) @ rot.T
+    reduced = {}
+    for s, _ in m.channels:
+        proj = _projected_dyadic(khat, s, g.d1_hat, g.d2_hat)
+        reduced[s] = proj.reshape(n_polar, _N_AZIMUTHAL).mean(axis=1)
+    return mu, wmu, reduced
 
 
-def _f1_single(x, m, g, q, frame_angles=None):
-    khat, w = _sphere_nodes(q)
-    if frame_angles is not None:
-        e1, e2 = _transverse_frame(khat)
-        ang = np.asarray(frame_angles, dtype=float)
-        ca, sa = np.cos(ang)[:, None], np.sin(ang)[:, None]
-        e1, e2 = ca * e1 + sa * e2, -sa * e1 + ca * e2
-    total = 0.0
-    kr = khat @ g.r_hat
-    for s, n in m.channels:
-        if frame_angles is None:
-            proj = _projected_dyadic(khat, s, g.d1_hat, g.d2_hat)
-        else:
-            a1, a2 = e1 @ g.d1_hat, e2 @ g.d1_hat
-            b1, b2 = e1 @ g.d2_hat, e2 @ g.d2_hat
-            proj = b1 * a1 + b2 * a2 + s * 1j * (b1 * a2 - b2 * a1)
-        phase = np.exp(1j * n * x * kr)
-        total += (3.0 * n / 8.0) * float((w * proj * phase).sum().real)
-    return total
+def _spectral_average(kt, y, mu, wmu, reduced):
+    """Re of the (dOmega/4pi) angular average at radial factor kt (chunked)."""
+    weighted = wmu * reduced
+    out = np.empty(kt.size)
+    for i in range(0, kt.size, _CHUNK):
+        blk = kt[i:i + _CHUNK]
+        phase = np.exp(1j * y * np.multiply.outer(blk, mu))
+        out[i:i + _CHUNK] = 0.5 * (phase * weighted).sum(axis=1).real
+    return out
+
+
+# ---------------------------------------------------------------------------
+# on-shell oracle
+
+def _f1_single(x, m, g, q):
+    mu, wmu, reduced = _reduced_angular(m, g, q.n_polar)
+    kt = np.ones(1)
+    return sum((3.0 * n / 8.0)
+               * float(_spectral_average(kt, n * x, mu, wmu, reduced[s])[0])
+               for s, n in m.channels)
 
 
 def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry,
               q: SphericalQuadratureSpec | None = None,
-              frame_angles=None, refine_tol: float = 1e-9) -> float:
-    """On-shell coefficient by direct spherical quadrature of the mode sum.
+              refine_tol: float = 1e-9) -> float:
+    """On-shell coefficient by angular quadrature of the mode sum at |k| = n k0.
 
     The explicit separation argument is used (g.x is not consulted, so one
     geometry object can serve a whole sweep).  The value is checked against
     a node-doubled rule and OracleDivergence is raised if the two differ by
     more than refine_tol; the base-rule value is returned.  Deterministic
     for a fixed spec (fixed shapes, pairwise summation).
-
-    frame_angles (one rotation angle per node, applied to the transverse
-    frame about k_hat) is a testing hook for the frame-covariance property;
-    supplying it skips the refinement check.
     """
     if q is None:
         q = SphericalQuadratureSpec()
-    if frame_angles is not None:
-        return _f1_single(x, m, g, q, frame_angles)
     coarse = _f1_single(x, m, g, q)
     fine = _f1_single(x, m, g, q.doubled())
     if abs(fine - coarse) > refine_tol:
@@ -221,55 +244,10 @@ def _gl_panels(a: float, b: float, n_panels: int, n_gl: int):
     return nodes, weights
 
 
-def _reduced_angular(m, g, n_polar, n_azimuthal):
-    """phi-averaged projected dyadic on a mu-grid with polar axis r_hat.
-
-    With the polar axis aligned to the interdipole axis the propagation
-    phase depends on mu only, and the phi average of the (quadratic in
-    k_hat) projected dyadic is exact for any n_azimuthal >= 6.
-    """
-    mu, wmu = np.polynomial.legendre.leggauss(n_polar)
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(g.r_hat @ z)
-    if c > 1.0 - 1e-12:
-        rot = np.eye(3)
-    elif c < -1.0 + 1e-12:
-        rot = np.diag([1.0, -1.0, -1.0])
-    else:
-        v = np.cross(z, g.r_hat)
-        vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-        rot = np.eye(3) + vx + vx @ vx / (1.0 + c)
-    phi = 2.0 * np.pi * np.arange(n_azimuthal) / n_azimuthal
-    st = np.sqrt(1.0 - mu**2)
-    khat = np.stack([
-        np.multiply.outer(st, np.cos(phi)),
-        np.multiply.outer(st, np.sin(phi)),
-        np.multiply.outer(mu, np.ones_like(phi)),
-    ], axis=-1).reshape(-1, 3) @ rot.T
-    reduced = {}
-    for s, _ in m.channels:
-        proj = _projected_dyadic(khat, s, g.d1_hat, g.d2_hat)
-        reduced[s] = proj.reshape(n_polar, n_azimuthal).mean(axis=1)
-    return mu, wmu, reduced
-
-
-def _spectral_average(kt, y, mu, wmu, reduced):
-    """Re of the (dOmega/4pi) angular average at radial factor kt (chunked)."""
-    weighted = wmu * reduced
-    out = np.empty(kt.size)
-    for i in range(0, kt.size, _CHUNK):
-        blk = kt[i:i + _CHUNK]
-        phase = np.exp(1j * y * np.multiply.outer(blk, mu))
-        out[i:i + _CHUNK] = 0.5 * (phase * weighted).sum(axis=1).real
-    return out
-
-
 def _f2_single(x, m, g, q, grid):
-    _, _, n_seg_list, z_max = _f2_extents(x, m, grid)
+    half_w, tail_start, n_seg_list, z_max = _f2_extents(x, m, grid)
     n_polar = max(q.n_polar, int(0.55 * z_max) + 40)
-    mu, wmu, reduced = _reduced_angular(m, g, n_polar, 16)
-    half_w = 0.5 * grid.window
-    tail_start = 1.0 + half_w
+    mu, wmu, reduced = _reduced_angular(m, g, n_polar)
     total = 0.0
     for (s, n), n_seg in zip(m.channels, n_seg_list):
         y = n * x
@@ -344,3 +322,31 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry,
             f"f2 radial/angular refinement drift {drift:.3e} exceeds "
             f"{refine_tol:.1e} * {scale:.3g} at x={x}")
     return coarse
+
+
+# ---------------------------------------------------------------------------
+# auxiliary-integral oracle
+
+def aux_i1_quadrature(u: float) -> AuxIntegralResult:
+    """I1(u) by adaptive quadrature of the defining integral (test oracle)."""
+    return _aux_quadrature(u, 3)
+
+
+def aux_i2_quadrature(u: float) -> AuxIntegralResult:
+    """I2(u) by adaptive quadrature of the defining integral (test oracle)."""
+    return _aux_quadrature(u, 2)
+
+
+def _aux_quadrature(u: float, power: int) -> AuxIntegralResult:
+    if not (np.isfinite(u) and u > 0.0):
+        raise DomainError(f"integral diverges for u <= 0, got {u}")
+    xi_max = max(50.0 / u, 50.0)
+
+    def f(xi):
+        return xi**power * np.exp(-xi * u) / (xi**2 + 1.0)
+
+    # split at the algebraic knee (xi = 1) and the exponential scale (1/u)
+    pts = sorted({1.0, min(1.0 / u, 0.5 * xi_max)})
+    value, abserr = integrate.quad(f, 0.0, xi_max, epsabs=1e-13,
+                                   epsrel=1e-12, limit=800, points=pts)
+    return AuxIntegralResult(float(value), float(abserr))

@@ -8,16 +8,16 @@ The level-shift cross terms need the two Laplace-type integrals
 evaluated at u = n_lambda * x.  Both diverge as u -> 0+ (like 1/u^2 and 1/u)
 and decay as 6/u^4 and 2/u^3 for large u.
 
-Two independent evaluation routes are provided:
+They are evaluated by closed forms in terms of Si/Ci:
 
-* closed forms in terms of Si/Ci (production path):
       I1(u) = 1/u^2 - [ -Ci(u) cos u + (pi/2 - Si(u)) sin u ]
       I2(u) = 1/u   - [  Ci(u) sin u + (pi/2 - Si(u)) cos u ]
-* direct adaptive quadrature of the defining integrals with the exponential
-  tail truncated at xi_max = max(50/u, 50) (test oracle).
 
-The closed forms were verified against quadrature over u in [1e-3, 1e3]
-before being adopted.
+The independent route, direct adaptive quadrature of the defining integrals
+with the exponential tail truncated at xi_max = max(50/u, 50), is a test
+oracle and lives in :mod:`chidip.oracle` (``aux_i1_quadrature``,
+``aux_i2_quadrature``).  The closed forms were verified against it over
+u in [1e-3, 1e3] before being adopted.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import sici
 
 from .errors import DomainError
@@ -72,28 +71,3 @@ def aux_i2(u: float) -> AuxIntegralResult:
     value = 1.0 / u - (ci * np.sin(u) + (np.pi / 2 - si) * np.cos(u))
     est = _REL_EPS * max(abs(value), 1.0 / u)
     return AuxIntegralResult(float(value), est)
-
-
-def aux_i1_quadrature(u: float) -> AuxIntegralResult:
-    """I1(u) by adaptive quadrature of the defining integral (test oracle)."""
-    return _aux_quadrature(u, 3)
-
-
-def aux_i2_quadrature(u: float) -> AuxIntegralResult:
-    """I2(u) by adaptive quadrature of the defining integral (test oracle)."""
-    return _aux_quadrature(u, 2)
-
-
-def _aux_quadrature(u: float, power: int) -> AuxIntegralResult:
-    if not (np.isfinite(u) and u > 0.0):
-        raise DomainError(f"integral diverges for u <= 0, got {u}")
-    xi_max = max(50.0 / u, 50.0)
-
-    def f(xi):
-        return xi**power * np.exp(-xi * u) / (xi**2 + 1.0)
-
-    # split at the algebraic knee (xi = 1) and the exponential scale (1/u)
-    pts = sorted({1.0, min(1.0 / u, 0.5 * xi_max)})
-    value, abserr = integrate.quad(f, 0.0, xi_max, epsabs=1e-13,
-                                   epsrel=1e-12, limit=800, points=pts)
-    return AuxIntegralResult(float(value), float(abserr))

@@ -43,8 +43,8 @@ from chidip import (
 )
 from chidip.cli import parse_config, run_sweep
 from chidip.collective import ROTATION_FULL_DIFFERENCE
-from chidip.oracle import f1_oracle, f2_oracle
-from chidip.specfun import aux_i1_quadrature, aux_i2_quadrature
+from chidip.oracle import (aux_i1_quadrature, aux_i2_quadrature, f1_oracle,
+                           f2_oracle)
 
 VACUUM = MediumChirality(1.0, 1.0)
 INACTIVE3 = MediumChirality(3.0, 3.0)

@@ -176,10 +176,14 @@ def test_rotation_conflicts_with_explicit_pair(capsys):
 
 
 def test_reversed_range_rejected(capsys):
-    code, out, err = run_cli(capsys, "sweep", "--scenario", "isotropic",
-                             "--x", "10:0.5:200")
-    assert code == 2 and out == ""
-    assert "START" in err
+    for argv in (("sweep", "--x", "10:0.5:200"),
+                 ("sweep", "--x", "1:inf:50"),
+                 ("sweep", "--x", "nan:5:50"),
+                 ("dynamics", "--x", "2", "--time", "0:nan:3"),
+                 ("dynamics", "--x", "2", "--time", "0:inf:3")):
+        code, out, err = run_cli(capsys, *argv, "--scenario", "isotropic")
+        assert code == 2 and out == ""
+        assert "START" in err
 
 
 def test_unphysical_medium_fails_without_stdout(capsys):

@@ -85,6 +85,10 @@ def test_separation_validation():
             fn(0.0, VACUUM, SYNTROPIC)
         with pytest.raises(InvalidSeparation):
             fn(-1.0, VACUUM, SYNTROPIC)
+    # f2 ~ 1/x^3 leaves the float range long before x reaches zero
+    for x in (1e-103, 1e-300):
+        with pytest.raises(InvalidSeparation):
+            f2(x, VACUUM, SYNTROPIC)
 
 
 def test_inactive_orthogonal_cancellation_is_exact():

@@ -52,6 +52,9 @@ def test_bad_time_grids_rejected():
         evolve(-1.0 + 0j, 0.0, [-0.5, 1.0])
     with pytest.raises(DomainError):
         evolve(-1.0 + 0j, 0.0, [])
+    for bad in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(DomainError):
+            evolve(-1.0 + 0j, 0.0, bad)
 
 
 def test_basis_consistency():

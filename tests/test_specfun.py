@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from chidip import DomainError, aux_i1, aux_i2, sin_cos_integrals
-from chidip.specfun import aux_i1_quadrature, aux_i2_quadrature
+from chidip.oracle import aux_i1_quadrature, aux_i2_quadrature
 
 # values frozen from the quadrature oracle (cross-checked with mpmath)
 I1_AT_1 = 0.656622038443573
