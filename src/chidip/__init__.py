@@ -23,7 +23,12 @@ from .collective import (
     lamb_shift,
     rate_coefficients,
 )
-from .dynamics import AmplitudeTrajectory, evolve, interaction_energy
+from .dynamics import (
+    AmplitudeTrajectory,
+    evolve,
+    interaction_energy,
+    interaction_energy_at,
+)
 from .errors import (
     ChidipError,
     DomainError,
@@ -69,6 +74,7 @@ __all__ = [
     "f2",
     "geometry_factors",
     "interaction_energy",
+    "interaction_energy_at",
     "lamb_shift",
     "normalize_geometry",
     "rate_coefficients",

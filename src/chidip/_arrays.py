@@ -1,0 +1,33 @@
+"""Array plumbing shared by the closed forms.
+
+The public functions of :mod:`chidip.specfun` and :mod:`chidip.collective`
+take a float or an array of any shape and run one array code path; these
+helpers turn the input into an array, name the first value that fails a
+check, and hand a 0-d result back as a Python float.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def as_floats(values, error, what: str) -> np.ndarray:
+    """values as a float array; raises error unless they are real numbers
+    (complex values are refused, not cast)."""
+    try:
+        array = np.asarray(values)
+    except ValueError:                  # a ragged nested sequence
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise error(f"{what} must be real numbers, got {values!r}")
+    return array.astype(float, copy=False)
+
+
+def first_failing(values: np.ndarray, ok) -> float:
+    """The first of values (in C order) where the mask ok is False."""
+    return float(values[~ok][0])
+
+
+def to_output(result):
+    """A Python float for a 0-d result, the array itself otherwise."""
+    return result.item() if result.ndim == 0 else result

@@ -45,8 +45,6 @@ SCENARIOS = {
     "isotropic": ((1, 1, 1), (1, 1, 1), (0, 0, 1)),
 }
 
-_BASE_HEADER = "x,gamma_s,gamma_as,delta,f1,f2,e_int"
-
 _SCENE = ("sweep", "dynamics")
 _MEDIUM = ("sweep", "dynamics", "lamb")
 
@@ -78,42 +76,33 @@ class SweepRequest:
     lamb_cutoff: float | None
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    x: float
-    gamma_s: float
-    gamma_as: float
-    delta: float
-    f1: float
-    f2: float
-    e_int: float
-    delta_plus: float | None = None
-    delta_minus: float | None = None
+def run_sweep(req: SweepRequest) -> dict[str, np.ndarray]:
+    """Evaluate the collective spectrum and E_int(time_sample) on the grid.
 
-
-def run_sweep(req: SweepRequest) -> list[SweepRow]:
-    """Evaluate the collective spectrum and E_int(time_sample) on the grid."""
+    Returns the output columns by name, in output order: x, gamma_s,
+    gamma_as, delta, f1, f2, e_int, and with a Lamb cutoff also delta_plus,
+    delta_minus.
+    """
     g = geometry_factors(normalize_geometry(req.d1, req.d2, req.axis,
                                             req.x_start))
     cutoff = LambCutoff(req.lamb_cutoff) if req.lamb_cutoff is not None else None
+    x = np.linspace(req.x_start, req.x_stop, req.n_points)
+    spec = collective.collective_spectrum(x, req.medium, g, cutoff)
     a_l = complex(collective.a_l_damping(req.medium), 0.0)
-    rows = []
-    for x in np.linspace(req.x_start, req.x_stop, req.n_points):
-        spec = collective.collective_spectrum(float(x), req.medium, g, cutoff)
-        traj = dynamics.evolve(a_l, complex(-spec.f1, spec.f2),
-                               [req.time_sample])
-        rows.append(SweepRow(
-            x=float(x),
-            gamma_s=2.0 * spec.gamma_plus,
-            gamma_as=2.0 * spec.gamma_minus,
-            delta=spec.delta,
-            f1=spec.f1,
-            f2=spec.f2,
-            e_int=float(traj.e_int[0]),
-            delta_plus=spec.delta_plus if cutoff is not None else None,
-            delta_minus=spec.delta_minus if cutoff is not None else None,
-        ))
-    return rows
+    columns = {
+        "x": x,
+        "gamma_s": 2.0 * spec.gamma_plus,
+        "gamma_as": 2.0 * spec.gamma_minus,
+        "delta": spec.delta,
+        "f1": spec.f1,
+        "f2": spec.f2,
+        "e_int": dynamics.interaction_energy_at(
+            a_l, -spec.f1 + 1j * spec.f2, req.time_sample),
+    }
+    if cutoff is not None:
+        columns.update(delta_plus=spec.delta_plus,
+                       delta_minus=spec.delta_minus)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -291,27 +280,23 @@ def _fmt(v: float) -> str:
     return format(float(v) + 0.0, ".15g")
 
 
-def _emit_table(header, rows, fmt, out):
+def _emit_table(columns, fmt, out):
+    """Write named columns of equal length as CSV or JSON rows."""
+    header = list(columns)
+    rows = zip(*(np.asarray(c, dtype=float).tolist()
+                 for c in columns.values()))
     if fmt == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.write(",".join(map(_fmt, row)) + "\n")
     else:
-        payload = [dict(zip(header, (float(v) for v in row))) for row in rows]
+        payload = [dict(zip(header, row)) for row in rows]
         out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_sweep(tokens, out) -> int:
     req = parse_config(tokens)
-    rows = run_sweep(req)
-    header = _BASE_HEADER.split(",")
-    table = [[r.x, r.gamma_s, r.gamma_as, r.delta, r.f1, r.f2, r.e_int]
-             for r in rows]
-    if req.lamb_cutoff is not None:
-        header += ["delta_plus", "delta_minus"]
-        for line, row in zip(table, rows):
-            line += [row.delta_plus, row.delta_minus]
-    _emit_table(header, table, req.output_format, out)
+    _emit_table(run_sweep(req), req.output_format, out)
     return 0
 
 
@@ -334,10 +319,9 @@ def _cmd_dynamics(tokens, out) -> int:
     a_l = complex(collective.a_l_damping(medium), 0.0)
     a_t = collective.a_t(x, medium, g)
     traj = dynamics.evolve(a_l, a_t, np.linspace(t0, t1, nt))
-    header = ["t", "p1", "p2", "p_plus", "p_minus", "e_int"]
-    table = [[t, p1, p2, pp, pm, e] for t, p1, p2, pp, pm, e in zip(
-        traj.times, traj.p1, traj.p2, traj.p_plus, traj.p_minus, traj.e_int)]
-    _emit_table(header, table, fmt, out)
+    _emit_table({"t": traj.times, "p1": traj.p1, "p2": traj.p2,
+                 "p_plus": traj.p_plus, "p_minus": traj.p_minus,
+                 "e_int": traj.e_int}, fmt, out)
     return 0
 
 
@@ -348,9 +332,9 @@ def _cmd_lamb(tokens, out) -> int:
         raise UsageError("lamb requires --lamb-cutoff LAMBDA")
     cutoff = LambCutoff(_parse_float(args.lamb_cutoff, "--lamb-cutoff"))
     value = collective.lamb_shift(medium, cutoff)
-    _emit_table(["n_bar", "lambda_cutoff", "delta_lamb"],
-                [[medium.n_bar, cutoff.lambda_cutoff, value]],
-                _resolve_format(args), out)
+    _emit_table({"n_bar": [medium.n_bar],
+                 "lambda_cutoff": [cutoff.lambda_cutoff],
+                 "delta_lamb": [value]}, _resolve_format(args), out)
     return 0
 
 

@@ -30,6 +30,13 @@ For y below Y_SERIES the trigonometric brackets lose ~6 digits to
 cancellation of the 1/y^2 and 1/y^3 terms, so they switch to Taylor/Laurent
 series (through order y^6); the two paths agree to ~1e-14 at the
 switchover.
+
+f1, f2, a_t and collective_spectrum take a float or an array of x of any
+shape.  Both helicity channels ride on a trailing axis of length 2 and every
+element runs the same code: each bracket form is evaluated on all elements,
+with Y_SERIES standing in for the arguments on the other side of the
+switch, and a mask picks the result.  A float x gives Python floats back.
+An invalid x raises InvalidSeparation naming the first offending value.
 """
 
 from __future__ import annotations
@@ -37,6 +44,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._arrays import as_floats, first_failing, to_output
 from .errors import DomainError, InvalidSeparation
 from .geometry import GeometryInvariants
 from .specfun import aux_i1, aux_i2
@@ -44,8 +54,15 @@ from .specfun import aux_i1, aux_i2
 # bracket evaluation switches from trig to series below this y = n*x
 Y_SERIES = 0.05
 
-# below this y = n*x the 1/y^3 terms of f2 leave the float range
+# below this y = n*x (times cbrt(n) for n > 1) the 1/y^3 terms of f2 leave
+# the float range
 _Y_MIN_F2 = 1e-100
+
+# y = n*x stays below half the float range
+_Y_MAX = 0.5 * float(np.finfo(float).max)
+
+# helicity s of the two channels, in the order (n_left, n_right)
+_HELICITY = np.array([1.0, -1.0])
 
 # conventions for mapping (mean index, specific rotation / k) -> (n_L, n_R)
 ROTATION_HALF_DIFFERENCE = "half-difference"   # rho = (n_L - n_R)/2
@@ -124,7 +141,8 @@ class ComplexRateCoefficients:
 
 @dataclass(frozen=True)
 class CollectiveSpectrum:
-    """Damping rates and level shifts of the exchange eigenstates at one x."""
+    """Damping rates and level shifts of the exchange eigenstates; floats
+    at one x, arrays over an array of x."""
 
     gamma_plus: float
     gamma_minus: float
@@ -138,95 +156,145 @@ class CollectiveSpectrum:
 # ---------------------------------------------------------------------------
 # bracket functions with small-argument series
 
+# Below Y_SERIES the brackets are power series in y^2 (times a power of y):
+#   b1 = 2/3 - 2 y^2/15 + y^4/140 - y^6/5670
+#   b2 = -y^2/15 + y^4/210 - y^6/7560
+#   b3 = y (-1/3 + y^2/30 - y^4/840 + y^6/45360)
+#   d1 = y^-3 (-1 + y^2/2 - 3 y^4/8 + 5 y^6/144 - 7 y^8/5760)
+#   d2 = y^-3 (-3 - y^2/2 - y^4/8 + y^6/48 - y^8/1152)
+#   d3 = y^-2 (1 + y^2/2 - y^4/8 + y^6/144 - y^8/5760)
+# Each table holds the coefficients of the three series, one column per
+# bracket, highest power first, so one Horner pass evaluates all three.
+_F1_SERIES = np.array([[-1 / 5670, -1 / 7560, 1 / 45360],
+                       [1 / 140, 1 / 210, -1 / 840],
+                       [-2 / 15, -1 / 15, 1 / 30],
+                       [2 / 3, 0.0, -1 / 3]])
+_F2_SERIES = np.array([[-7 / 5760, -1 / 1152, -1 / 5760],
+                       [5 / 144, 1 / 48, 1 / 144],
+                       [-3 / 8, -1 / 8, -1 / 8],
+                       [1 / 2, -1 / 2, 1 / 2],
+                       [-1.0, -3.0, 1.0]])
+
+
+def _series(y, table):
+    """The three series of table at y, stacked on a new last axis."""
+    y2 = np.square(y)[..., None]
+    acc = table[0]
+    for row in table[1:]:
+        acc = acc * y2 + row
+    return acc
+
+
 def _f1_brackets_direct(y):
-    sy, cy = math.sin(y), math.cos(y)
-    b1 = sy / y + cy / y**2 - sy / y**3
-    b2 = sy / y + 3 * cy / y**2 - 3 * sy / y**3
-    b3 = cy / y - sy / y**2
+    sy, cy, u = np.sin(y), np.cos(y), 1.0 / y
+    b3 = u * (cy - u * sy)              # cos y/y - sin y/y^2
+    b1 = u * (sy + b3)                  # sin y/y + cos y/y^2 - sin y/y^3
+    b2 = u * (sy + 3 * b3)              # sin y/y + 3 cos y/y^2 - 3 sin y/y^3
     return b1, b2, b3
 
 
 def _f1_brackets_series(y):
-    y2 = y * y
-    b1 = 2 / 3 + y2 * (-2 / 15 + y2 * (1 / 140 - y2 / 5670))
-    b2 = y2 * (-1 / 15 + y2 * (1 / 210 - y2 / 7560))
-    b3 = y * (-1 / 3 + y2 * (1 / 30 + y2 * (-1 / 840 + y2 / 45360)))
-    return b1, b2, b3
+    p = _series(y, _F1_SERIES)
+    return p[..., 0], p[..., 1], y * p[..., 2]
 
 
 def _f2_brackets_direct(y):
-    sy, cy = math.sin(y), math.cos(y)
-    d1 = cy / y - sy / y**2 - cy / y**3
-    d2 = cy / y - 3 * sy / y**2 - 3 * cy / y**3
-    d3 = sy / y + cy / y**2
+    sy, cy, u = np.sin(y), np.cos(y), 1.0 / y
+    d3 = u * (sy + u * cy)              # sin y/y + cos y/y^2
+    d1 = u * (cy - d3)                  # cos y/y - sin y/y^2 - cos y/y^3
+    d2 = u * (cy - 3 * d3)              # cos y/y - 3 sin y/y^2 - 3 cos y/y^3
     return d1, d2, d3
 
 
 def _f2_brackets_series(y):
-    y2 = y * y
-    d1 = -1 / y**3 + 1 / (2 * y) + y * (-3 / 8 + y2 * (5 / 144 - 7 * y2 / 5760))
-    d2 = -3 / y**3 - 1 / (2 * y) + y * (-1 / 8 + y2 * (1 / 48 - y2 / 1152))
-    d3 = 1 / y**2 + 1 / 2 + y2 * (-1 / 8 + y2 * (1 / 144 - y2 / 5760))
-    return d1, d2, d3
+    p = _series(y, _F2_SERIES)
+    u2 = 1.0 / np.square(y)
+    u3 = u2 / y
+    return u3 * p[..., 0], u3 * p[..., 1], u2 * p[..., 2]
+
+
+def _switch(y, series, direct):
+    """series(y) where y < Y_SERIES, direct(y) elsewhere, per element.
+
+    Each form sees only arguments from its own side of the switch; Y_SERIES
+    stands in for the others, so neither form overflows on them.
+    """
+    lo = series(np.minimum(y, Y_SERIES))
+    hi = direct(np.maximum(y, Y_SERIES))
+    small = y < Y_SERIES
+    for a, b in zip(lo, hi):
+        np.copyto(b, a, where=small)
+    return hi
 
 
 def _f1_brackets(y):
-    return _f1_brackets_series(y) if y < Y_SERIES else _f1_brackets_direct(y)
+    return _switch(y, _f1_brackets_series, _f1_brackets_direct)
 
 
 def _f2_brackets(y):
-    return _f2_brackets_series(y) if y < Y_SERIES else _f2_brackets_direct(y)
+    return _switch(y, _f2_brackets_series, _f2_brackets_direct)
 
 
-def _check_x(x):
-    if not (math.isfinite(x) and x > 0.0):
-        raise InvalidSeparation(f"separation x must be > 0, got {x}")
+def _channels(x, m):
+    """Check x and return (x, n, y): the channel indices n = (n_left,
+    n_right) and y = n*x on a trailing axis of length 2."""
+    x = as_floats(x, InvalidSeparation, "separation x")
+    n = np.array([m.n_left, m.n_right])
+    ok = (x > 0.0) & (x < _Y_MAX / max(m.n_left, m.n_right))
+    if not ok.all():
+        bad = first_failing(x, ok)
+        if bad > 0.0 and np.isfinite(bad):
+            raise InvalidSeparation(
+                f"separation x={bad} is too large: n*x must stay below "
+                f"{_Y_MAX:.3g}")
+        raise InvalidSeparation(f"separation x must be > 0, got {bad}")
+    return x, n, np.multiply.outer(x, n)
 
 
 # ---------------------------------------------------------------------------
 # the collective coefficient functions
 
-def f1(x: float, m: MediumChirality, g: GeometryInvariants) -> float:
+def f1(x, m: MediumChirality, g: GeometryInvariants):
     """On-shell exchange function (collective decay modifier).
 
     Smooth in x, -> a*n_bar/2 as x -> 0 and -> 0 as x -> infinity.  For an
     inactive medium (n_left = n_right) the c term cancels between the two
-    helicities.
+    helicities.  x is a float or an array; a float gives a float.
     """
-    _check_x(x)
-    out = 0.0
-    for s, n in m.channels:
-        b1, b2, b3 = _f1_brackets(n * x)
-        out += (3 * n / 8) * (g.a * b1 - g.b * b2 + s * g.c * b3)
-    return out
+    x, n, y = _channels(x, m)
+    b1, b2, b3 = _f1_brackets(y)
+    terms = (3 * n / 8) * (g.a * b1 - g.b * b2 + g.c * _HELICITY * b3)
+    return to_output(terms[..., 0] + terms[..., 1])
 
 
-def f2(x: float, m: MediumChirality, g: GeometryInvariants) -> float:
+def f2(x, m: MediumChirality, g: GeometryInvariants):
     """Off-shell exchange function (collective shift; diverges ~1/x^3 as
-    x -> 0, the static dipole-dipole limit).
+    x -> 0, the static dipole-dipole limit).  x is a float or an array; a
+    float gives a float.
 
     Raises InvalidSeparation where that divergence is not representable:
-    n*x below 1e-100 in either channel, or a non-finite sum.
+    n*x below 1e-100 * cbrt(max(n, 1)) in either channel, which keeps
+    (3n/8)/(n*x)^3 below 4e299.
     """
-    _check_x(x)
-    out = 0.0
-    for s, n in m.channels:
-        y = n * x
-        if y < _Y_MIN_F2:
-            raise InvalidSeparation(
-                f"separation x={x} is too small: f2 ~ 1/x^3 overflows")
-        d1, d2, d3 = _f2_brackets(y)
-        aux = (2 / math.pi) * (aux_i1(y).value / y + aux_i2(y).value / y**2)
-        out += (3 * n / 8) * (g.a * d1 - g.b * d2 - s * g.c * (d3 + aux))
-    if not math.isfinite(out):
+    x, n, y = _channels(x, m)
+    ok = x >= max(_Y_MIN_F2 * max(v, 1.0) ** (1 / 3) / v
+                  for v in (m.n_left, m.n_right))
+    if not ok.all():
         raise InvalidSeparation(
-            f"separation x={x} is too small: f2 ~ 1/x^3 overflows")
-    return out
+            f"separation x={first_failing(x, ok)} is too small: "
+            f"f2 ~ 1/x^3 overflows")
+    d1, d2, d3 = _f2_brackets(y)
+    u = 1.0 / y
+    aux = (2 / np.pi) * u * (aux_i1(y).value + u * aux_i2(y).value)
+    terms = (3 * n / 8) * (g.a * d1 - g.b * d2
+                           - g.c * _HELICITY * (d3 + aux))
+    return to_output(terms[..., 0] + terms[..., 1])
 
 
-def a_t(x: float, m: MediumChirality, g: GeometryInvariants) -> complex:
-    """Exchange coefficient A_T/Gamma0 = -F1 + i*F2."""
-    return complex(-f1(x, m, g), f2(x, m, g))
+def a_t(x, m: MediumChirality, g: GeometryInvariants):
+    """Exchange coefficient A_T/Gamma0 = -F1 + i*F2 (complex, or a complex
+    array for an array x)."""
+    return -f1(x, m, g) + 1j * f2(x, m, g)
 
 
 def a_l_damping(m: MediumChirality) -> float:
@@ -243,7 +311,7 @@ def lamb_shift(m: MediumChirality, cutoff: LambCutoff) -> float:
     return m.n_bar * math.log(cutoff.lambda_cutoff) / (2 * math.pi)
 
 
-def rate_coefficients(x: float, m: MediumChirality, g: GeometryInvariants,
+def rate_coefficients(x, m: MediumChirality, g: GeometryInvariants,
                       cutoff: LambCutoff | None = None) -> ComplexRateCoefficients:
     """Assemble (a_l, a_t); Im(a_l) is the renormalized shift (0 without a
     cutoff, where only population dynamics are meaningful)."""
@@ -252,13 +320,14 @@ def rate_coefficients(x: float, m: MediumChirality, g: GeometryInvariants,
                                    a_t(x, m, g))
 
 
-def collective_spectrum(x: float, m: MediumChirality, g: GeometryInvariants,
+def collective_spectrum(x, m: MediumChirality, g: GeometryInvariants,
                         cutoff: LambCutoff | None = None) -> CollectiveSpectrum:
     """Damping rates gamma_pm = n_bar/2 +- F1 and shifts
     delta_pm = delta_lamb +- F2 of the exchange eigenstates.
 
     Without a cutoff the Lamb part is left out of delta_pm; the splitting
-    delta = 2*F2 is unaffected either way.
+    delta = 2*F2 is unaffected either way.  For an array x every field is
+    an array of the same shape.
     """
     f1v = f1(x, m, g)
     f2v = f2(x, m, g)

@@ -13,6 +13,11 @@ They are evaluated by closed forms in terms of Si/Ci:
       I1(u) = 1/u^2 - [ -Ci(u) cos u + (pi/2 - Si(u)) sin u ]
       I2(u) = 1/u   - [  Ci(u) sin u + (pi/2 - Si(u)) cos u ]
 
+``aux_i1`` and ``aux_i2`` take a float or an array of u and evaluate every
+element on the same path; a float in gives float fields out.  Below
+sqrt(tiny) ~ 1.5e-154 (I1) and tiny ~ 2.2e-308 (I2) the leading 1/u^2 and
+1/u terms leave the float range, and both raise DomainError there.
+
 The independent route, direct adaptive quadrature of the defining integrals
 with the exponential tail truncated at xi_max = max(50/u, 50), is a test
 oracle and lives in :mod:`chidip.oracle` (``aux_i1_quadrature``,
@@ -27,16 +32,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sici
 
+from ._arrays import as_floats, first_failing, to_output
 from .errors import DomainError
 
 # a few ulps of headroom over scipy's sici accuracy (~2 ulp)
 _REL_EPS = 4e-16
 
+# smallest u of I1 and I2: u^2 and u still normal, 1/u^2 and 1/u <= 4.5e307
+_TINY = float(np.finfo(float).tiny)
+_U_MIN_I1 = float(np.sqrt(_TINY))
+_U_MIN_I2 = _TINY
+
 
 @dataclass(frozen=True)
 class AuxIntegralResult:
-    value: float
-    est_abs_error: float
+    """Value and absolute error bound; floats for a float u, else arrays."""
+
+    value: float | np.ndarray
+    est_abs_error: float | np.ndarray
 
 
 def sin_cos_integrals(x: float) -> tuple[float, float]:
@@ -52,22 +65,34 @@ def sin_cos_integrals(x: float) -> tuple[float, float]:
     return float(si), float(ci)
 
 
-def aux_i1(u: float) -> AuxIntegralResult:
+def _aux_terms(u, name, u_min):
+    """Check u against the domain of I1 or I2 (u >= u_min, finite) and
+    return (u, 1/u, Si(u), Ci(u))."""
+    u = as_floats(u, DomainError, f"{name} arguments u")
+    ok = (u >= u_min) & (u < np.inf)
+    if not ok.all():
+        bad = first_failing(u, ok)
+        if bad > 0.0 and np.isfinite(bad):
+            raise DomainError(f"{name} overflows for u < {u_min:.3g}, "
+                              f"got {bad}")
+        raise DomainError(f"{name} diverges for u <= 0, got {bad}")
+    si, ci = sici(u)
+    return u, 1.0 / u, si, ci
+
+
+def aux_i1(u) -> AuxIntegralResult:
     """I1(u) via the Si/Ci closed form; absolute error a few ulps of 1/u^2."""
-    if not (np.isfinite(u) and u > 0.0):
-        raise DomainError(f"I1 diverges for u <= 0, got {u}")
-    si, ci = sici(u)
-    value = 1.0 / u**2 - (-ci * np.cos(u) + (np.pi / 2 - si) * np.sin(u))
+    u, r, si, ci = _aux_terms(u, "I1", _U_MIN_I1)
+    r2 = r * r
+    value = r2 - (-ci * np.cos(u) + (np.pi / 2 - si) * np.sin(u))
     # error is set by the largest intermediate, 1/u^2 at small u
-    est = _REL_EPS * max(abs(value), 1.0 / u**2)
-    return AuxIntegralResult(float(value), est)
+    est = _REL_EPS * np.maximum(np.abs(value), r2)
+    return AuxIntegralResult(to_output(value), to_output(est))
 
 
-def aux_i2(u: float) -> AuxIntegralResult:
+def aux_i2(u) -> AuxIntegralResult:
     """I2(u) via the Si/Ci closed form; absolute error a few ulps of 1/u."""
-    if not (np.isfinite(u) and u > 0.0):
-        raise DomainError(f"I2 diverges for u <= 0, got {u}")
-    si, ci = sici(u)
-    value = 1.0 / u - (ci * np.sin(u) + (np.pi / 2 - si) * np.cos(u))
-    est = _REL_EPS * max(abs(value), 1.0 / u)
-    return AuxIntegralResult(float(value), est)
+    u, r, si, ci = _aux_terms(u, "I2", _U_MIN_I2)
+    value = r - (ci * np.sin(u) + (np.pi / 2 - si) * np.cos(u))
+    est = _REL_EPS * np.maximum(np.abs(value), r)
+    return AuxIntegralResult(to_output(value), to_output(est))

@@ -80,12 +80,12 @@ def _delta_minimum(medium):
 
 def test_a1_flat_line_for_inactive_orthogonal():
     t0 = time.perf_counter()
-    rows = _sweep("orthogonal-perpendicular", INACTIVE3)
+    cols = _sweep("orthogonal-perpendicular", INACTIVE3)
     elapsed = time.perf_counter() - t0
-    rate_dev = max(max(abs(r.gamma_s - 3.0), abs(r.gamma_as - 3.0))
-                   for r in rows)
-    delta_dev = max(abs(r.delta) for r in rows)
-    assert len(rows) == 200
+    rate_dev = float(max(np.max(np.abs(cols["gamma_s"] - 3.0)),
+                         np.max(np.abs(cols["gamma_as"] - 3.0))))
+    delta_dev = float(np.max(np.abs(cols["delta"])))
+    assert len(cols["x"]) == 200
     assert rate_dev <= 1e-12
     assert delta_dev <= 1e-14
     assert elapsed < 1.0
@@ -95,10 +95,10 @@ def test_a1_flat_line_for_inactive_orthogonal():
 
 def test_a2_chiral_activation_of_orthogonal_geometry():
     t0 = time.perf_counter()
-    rows = _sweep("orthogonal-perpendicular", ACTIVE_DEFAULT)
+    cols = _sweep("orthogonal-perpendicular", ACTIVE_DEFAULT)
     elapsed = time.perf_counter() - t0
-    max_delta = max(abs(r.delta) for r in rows)
-    max_e = max(abs(r.e_int) for r in rows)
+    max_delta = float(np.max(np.abs(cols["delta"])))
+    max_e = float(np.max(np.abs(cols["e_int"])))
     assert max_delta > 0.01
     assert max_e > 0.0
     assert elapsed < 1.0

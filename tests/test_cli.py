@@ -1,6 +1,7 @@
 import json
 import math
 
+from chidip import GeometryInvariants, a_l_damping, evolve, f1
 from chidip.cli import SweepRequest, main, parse_config, run_sweep
 from chidip.collective import MediumChirality
 
@@ -72,14 +73,55 @@ def test_sweep_rows_match_library(capsys):
     _, rows = parse_csv(out)
     req = parse_config(["--scenario", "isotropic", "--n-left", "1.5",
                         "--n-right", "4.5", "--x", "0.5:10:11"])
-    lib_rows = run_sweep(req)
-    for got, want in zip(rows, lib_rows):
-        assert math.isclose(got["f1"], want.f1, rel_tol=1e-12, abs_tol=1e-14)
-        assert math.isclose(got["f2"], want.f2, rel_tol=1e-12, abs_tol=1e-14)
-        assert math.isclose(got["e_int"], want.e_int, rel_tol=1e-12,
+    lib = run_sweep(req)
+    assert list(lib) == BASE_HEADER.split(",")
+    assert all(len(col) == len(rows) == 11 for col in lib.values())
+    for i, got in enumerate(rows):
+        assert math.isclose(got["f1"], lib["f1"][i], rel_tol=1e-12,
+                            abs_tol=1e-14)
+        assert math.isclose(got["f2"], lib["f2"][i], rel_tol=1e-12,
+                            abs_tol=1e-14)
+        assert math.isclose(got["e_int"], lib["e_int"][i], rel_tol=1e-12,
                             abs_tol=1e-14)
         assert math.isclose(got["gamma_s"] + got["gamma_as"], 6.0,
                             rel_tol=1e-14)
+
+
+def _first_f1_zero(m, g):
+    """A separation where f1 changes sign, to a few ulps."""
+    lo, hi = 1.0, 3.0
+    assert f1(lo, m, g) * f1(hi, m, g) < 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f1(mid, m, g) * f1(lo, m, g) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_sweep_e_int_matches_evolve():
+    # the sweep's closed-form E_int(t) against the amplitudes of evolve at
+    # the same single time, per x
+    iso = ["--scenario", "isotropic", "--n-left", "1.5", "--n-right", "4.5"]
+    c_zero = ["--scenario", "syntropic-perpendicular", "--n-bar", "1"]
+    orth_inactive = ["--scenario", "orthogonal-perpendicular", "--n-bar", "3"]
+    # near the first zero of f1 for parallel dipoles (c = 0) in vacuum
+    x0 = _first_f1_zero(MediumChirality(1.0, 1.0),
+                        GeometryInvariants(1.0, 0.0, 0.0))
+    grids = [(iso, "0.01:10:9"), (c_zero, f"{x0!r}:{x0 + 1e-9!r}:3"),
+             (c_zero, "0.5:8:9"), (orth_inactive, "0.5:5:4")]
+    worst_f1 = math.inf
+    for flags, grid in grids:
+        for t in ("0", "1.0", "2.5", "40"):
+            req = parse_config([*flags, "--x", grid, "--time", t])
+            cols = run_sweep(req)
+            a_l = complex(a_l_damping(req.medium), 0.0)
+            for f1v, f2v, e in zip(cols["f1"], cols["f2"], cols["e_int"]):
+                want = evolve(a_l, complex(-f1v, f2v), [float(t)]).e_int[0]
+                assert math.isclose(e, want, rel_tol=1e-12, abs_tol=1e-14)
+                worst_f1 = min(worst_f1, abs(f1v))
+    assert worst_f1 < 1e-12         # the grid reached f1 ~ 0
 
 
 def test_sweep_lamb_cutoff_appends_absolute_shift_columns(capsys):
@@ -186,6 +228,18 @@ def test_reversed_range_rejected(capsys):
         assert "START" in err
 
 
+def test_separation_outside_float_range_names_first_x(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--scenario", "isotropic",
+                             "--x", "1e-300:1e-299:2")
+    assert code == 1 and out == ""
+    assert err == ("chidip sweep: separation x=1e-300 is too small: "
+                   "f2 ~ 1/x^3 overflows\n")
+    code, out, err = run_cli(capsys, "sweep", "--scenario", "isotropic",
+                             "--x", "1:1e308:3")
+    assert code == 1 and out == ""
+    assert err.startswith("chidip sweep: separation x=1e+308 is too large")
+
+
 def test_unphysical_medium_fails_without_stdout(capsys):
     code, out, err = run_cli(capsys, "sweep", "--scenario", "isotropic",
                              "--n-left", "-3", "--n-right", "1")
@@ -255,7 +309,6 @@ def test_number_formatting_keeps_12_significant_digits(capsys):
     _, rows = parse_csv(out)
     # f1(x=1) in vacuum, syntropic-perpendicular; 12+ digits survive the
     # round trip
-    from chidip import GeometryInvariants, f1
     want = f1(1.0, MediumChirality(1.0, 1.0),
               GeometryInvariants(1.0, 0.0, 0.0))
     assert math.isclose(rows[0]["f1"], want, rel_tol=1e-12)

@@ -89,6 +89,11 @@ def test_separation_validation():
     for x in (1e-103, 1e-300):
         with pytest.raises(InvalidSeparation):
             f2(x, VACUUM, SYNTROPIC)
+    # non-real x is refused, not cast
+    for fn in (f1, f2):
+        for x in (1j, np.array([1.0 + 1.0j]), "2", None):
+            with pytest.raises(InvalidSeparation, match="real numbers"):
+                fn(x, VACUUM, SYNTROPIC)
 
 
 def test_inactive_orthogonal_cancellation_is_exact():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,6 +72,14 @@ def test_domain_errors():
             aux_i2(bad)
         with pytest.raises(DomainError):
             sin_cos_integrals(bad)
+    # where the leading 1/u^2 (I1) or 1/u (I2) leaves the float range
+    for fn, bad in ((aux_i1, 1e-160), (aux_i1, 1e-200), (aux_i2, 1e-320)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=repr(bad)):
+                fn(bad)
+            with pytest.raises(DomainError, match=repr(bad)):
+                fn(np.array([1.0, bad, 0.5 * bad]))
 
 
 def test_si_gibbs_constant_against_quadrature():
