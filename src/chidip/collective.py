@@ -81,6 +81,9 @@ class MediumChirality:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"{name} must be a positive real, got {v}")
+        if not math.isfinite(self.n_bar):
+            raise DomainError(f"n_bar overflows for n_left={self.n_left}, "
+                              f"n_right={self.n_right}")
 
     @property
     def n_bar(self) -> float:

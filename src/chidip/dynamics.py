@@ -28,6 +28,8 @@ which neither overflows nor loses digits to cancellation when f1 ~ 0.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +72,21 @@ class AmplitudeTrajectory:
 
 
 def _damped_exponential(coeff: complex, times: np.ndarray) -> np.ndarray:
-    z = coeff * times
-    out = np.exp(np.where(z.real < _EXP_FLOOR, -np.inf, z))
+    if not cmath.isfinite(coeff):
+        raise DomainError(f"a_l +- a_t = {coeff} is beyond the float range")
+    # Re(coeff) <= 0 after the growing-mode check, so Re(z) can only
+    # overflow to -inf, where the amplitude is exactly 0
+    with np.errstate(over="ignore"):
+        z = coeff * times
+    dead = z.real < _EXP_FLOOR
+    # times ascend, so |Im(z)| is largest at the last time; only if that
+    # overflows can a phase that still matters be out of range
+    if not (math.isfinite(coeff.imag * float(times[-1]))
+            or np.all(dead | np.isfinite(z.imag))):
+        raise DomainError(f"the phase Im({coeff}) * t exceeds the float range")
+    out = np.exp(np.where(dead, -np.inf, z))
     # exp(-inf + i*phase) is nan in complex arithmetic; force exact zero
-    return np.where(z.real < _EXP_FLOOR, 0.0 + 0.0j, out)
+    return np.where(dead, 0.0 + 0.0j, out)
 
 
 def _checked_times(a_l: complex, a_t: ArrayLike,
@@ -86,6 +99,8 @@ def _checked_times(a_l: complex, a_t: ArrayLike,
         raise DomainError("times must be finite")
     if np.any(t < 0.0) or np.any(np.diff(t) < 0.0):
         raise DomainError("times must be non-negative and sorted ascending")
+    if not (cmath.isfinite(complex(a_l)) and np.all(np.isfinite(a_t))):
+        raise DomainError(f"a_l and a_t must be finite, got {a_l}, {a_t}")
     re_l = complex(a_l).real
     re_t = float(np.max(np.abs(np.real(a_t))))
     if re_l + re_t > 0.0:
@@ -98,10 +113,14 @@ def evolve(a_l: complex, a_t: complex, times: ArrayLike) -> AmplitudeTrajectory:
     """Evaluate the closed-form dynamics on an ascending time grid.
 
     a_l, a_t are in Gamma0 units; raises UnphysicalRates if either exchange
-    eigenmode would grow (Re(a_l) + |Re(a_t)| > 0) and DomainError for a
-    non-finite, negative or unsorted time grid.
+    eigenmode would grow (Re(a_l) + |Re(a_t)| > 0) and DomainError for
+    non-finite rates (or a_l +- a_t beyond the float range), for a
+    non-finite, negative or unsorted time grid, and for a phase
+    Im(a_l +- a_t) * t beyond the float range on an amplitude that has not
+    decayed to exact zero.
     """
     t = _checked_times(a_l, a_t, times)
+    a_l, a_t = complex(a_l), complex(a_t)
     exp_plus = _damped_exponential(a_l + a_t, t)
     exp_minus = _damped_exponential(a_l - a_t, t)
     c_plus = exp_plus / _SQRT2
@@ -129,7 +148,7 @@ def interaction_energy_at(a_l: complex, a_t: ArrayLike,
     hbar*Gamma0; equal to ``evolve(a_l, a_t, [time]).e_int[0]`` for each.
 
     Raises as evolve does: UnphysicalRates if any a_t gives a growing mode,
-    DomainError for a negative or non-finite time.
+    DomainError for non-finite rates or a negative or non-finite time.
     """
     a_t = np.asarray(a_t, dtype=complex)
     (t,) = _checked_times(a_l, a_t, time)
@@ -137,8 +156,9 @@ def interaction_energy_at(a_l: complex, a_t: ArrayLike,
     r = np.abs(f1)
     # both exponents are <= 0 after the growing-mode check, so a product
     # can only overflow to -inf, where exp and expm1 take their exact
-    # limits 0 and -1
+    # limits 0 and -1; the power-of-two factors go last so that an
+    # overflow never meets t = 0
     with np.errstate(over="ignore"):
-        decay = np.exp(2 * (complex(a_l).real + r) * t)
-        rise = -np.expm1(-4 * r * t)
+        decay = np.exp(2 * ((complex(a_l).real + r) * t))
+        rise = -np.expm1(-4 * (r * t))
     return np.sign(f1) * f2 * decay * rise

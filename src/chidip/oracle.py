@@ -10,10 +10,24 @@ propagation phase exp(i n_lambda x k_hat.r_hat).  Both oracles share one
 angular reduction: with the polar axis along r_hat the phase depends on
 mu = k_hat.r_hat only, so the projected dyadic is averaged over phi (exact
 on a small uniform grid, since it is quadratic in k_hat) and the mu
-integral is done by Gauss-Legendre.  The on-shell part (f1) evaluates that
-average at |k| = n_lambda k0; the off-shell part (f2) additionally performs
-the radial principal-value integral over the mode frequency, including the
-non-resonant branch.
+integral is done by Gauss-Legendre (``scipy.special.roots_legendre``).  The
+on-shell part (f1) evaluates that average at |k| = n_lambda k0; the
+off-shell part (f2) additionally performs the radial principal-value
+integral over the mode frequency, including the non-resonant branch.
+
+Both oracles also share one phase kernel.  Every radial grid is made of
+equal-width Gauss-Legendre panels (f1 is a single panel of zero width at
+k = 1), and at the node mid_p + h xi_l of panel p the phase factors as
+
+    exp(i y (mid_p + h xi_l) mu_j) = exp(i y mid_p mu_j) exp(i y h xi_l mu_j),
+
+so the weighted mu sum for a block of panels is one (panels x mu) @
+(mu x panel nodes) matrix product: one exp per panel and polar node
+instead of one per radial node and polar node.  Only the real part of the
+sum is needed and the mu rule is symmetric, so the weights at -mu are
+folded onto +mu first, which halves the polar count the product sees.
+The kernel works through _PANEL_BLOCK panels at a time, which caps its
+temporaries at _PANEL_BLOCK x n_polar/2 reals.
 
 Normalization is fixed analytically by the calibration limit: an inactive
 medium with parallel dipoles must give n_bar/2 as x -> 0, which pins the
@@ -30,7 +44,14 @@ symmetric-grid subtraction (exact PV fold), and beyond the window the tail
 is accumulated in half-period segments that are then contracted by iterated
 pairwise averaging (Euler/Cesaro acceleration of an alternating series).
 The segment grid always reaches at least ``k_max`` (default 50) before
-acceleration.
+acceleration.  The polar rule has at least 0.55 z + 40 nodes, z the largest
+radial phase argument y k of the grid.
+
+Each oracle checks itself against a refined pass: f1 against a rule with
+twice the polar nodes, f2 against a grid with twice the pole panels (half
+their width), twice the tail segments (so the tail reaches twice as far)
+and the polar rule of that longer grid, never fewer than twice
+``n_polar`` nodes.
 
 The auxiliary integrals I1/I2 of :mod:`chidip.specfun` have their own
 oracle here as well: adaptive quadrature of the defining integrals
@@ -49,6 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import roots_legendre
 
 from .collective import MediumChirality
 from .errors import DomainError, OracleDivergence
@@ -57,7 +79,7 @@ from .specfun import AuxIntegralResult
 
 log = logging.getLogger(__name__)
 
-_CHUNK = 512            # radial nodes per phase-matrix block (memory cap)
+_PANEL_BLOCK = 128      # panels per phase-matrix block (memory cap)
 _N_AZIMUTHAL = 16       # phi nodes; exact for the quadratic dyadic (>= 6)
 
 
@@ -153,16 +175,17 @@ def _projected_dyadic(khat, helicity, d1h, d2h):
 
 
 # ---------------------------------------------------------------------------
-# angular reduction shared by both oracles
+# angular reduction and phase kernel shared by both oracles
 
 def _reduced_angular(m, g, n_polar):
-    """phi-averaged projected dyadic on a mu-grid with polar axis r_hat.
+    """Gauss-Legendre nodes in mu and, per helicity, the phi-averaged
+    projected dyadic times the mu weights (polar axis along r_hat).
 
     With the polar axis aligned to the interdipole axis the propagation
     phase depends on mu only, and the phi average of the (quadratic in
     k_hat) projected dyadic is exact on the _N_AZIMUTHAL-point grid.
     """
-    mu, wmu = np.polynomial.legendre.leggauss(n_polar)
+    mu, wmu = roots_legendre(n_polar)
     z = np.array([0.0, 0.0, 1.0])
     c = float(g.r_hat @ z)
     if c > 1.0 - 1e-12:
@@ -180,21 +203,36 @@ def _reduced_angular(m, g, n_polar):
         np.multiply.outer(st, np.sin(phi)),
         np.multiply.outer(mu, np.ones_like(phi)),
     ], axis=-1).reshape(-1, 3) @ rot.T
-    reduced = {}
+    weighted = {}
     for s, _ in m.channels:
         proj = _projected_dyadic(khat, s, g.d1_hat, g.d2_hat)
-        reduced[s] = proj.reshape(n_polar, _N_AZIMUTHAL).mean(axis=1)
-    return mu, wmu, reduced
+        weighted[s] = wmu * proj.reshape(n_polar, _N_AZIMUTHAL).mean(axis=1)
+    return mu, weighted
 
 
-def _spectral_average(kt, y, mu, wmu, reduced):
-    """Re of the (dOmega/4pi) angular average at radial factor kt (chunked)."""
-    weighted = wmu * reduced
-    out = np.empty(kt.size)
-    for i in range(0, kt.size, _CHUNK):
-        blk = kt[i:i + _CHUNK]
-        phase = np.exp(1j * y * np.multiply.outer(blk, mu))
-        out[i:i + _CHUNK] = 0.5 * (phase * weighted).sum(axis=1).real
+def _panel_average(y, mids, half, nodes, mu, weighted):
+    """Re of the (dOmega/4pi) angular average sum_j weighted[j]
+    exp(i y kt mu[j]) / 2 at every radial factor kt = mids[p] + half *
+    nodes[l] of a grid of equal-width panels; returns the (P x L) values.
+
+    exp(i y kt mu) = exp(i y mids[p] mu) exp(i y half nodes[l] mu), so the
+    mu sum over a block of panels is one (P x J) @ (J x L) product with one
+    phase per panel and polar node.  The rule mu is a Gauss-Legendre rule,
+    symmetric about 0, so only the real part is kept: the weight at -mu is
+    conjugated onto +mu and J is half the node count.
+    """
+    lo = mu.size // 2
+    w = weighted[lo:] + weighted[:mu.size - lo][::-1].conj()
+    if mu.size % 2:         # the node at mu = 0 was counted twice
+        w[0] = weighted[lo].real
+    mu = mu[lo:]
+    inner = w[:, None] * np.exp(1j * y * half * np.multiply.outer(mu, nodes))
+    inner_re, inner_im = inner.real.copy(), inner.imag.copy()
+    out = np.empty((mids.size, nodes.size))
+    for i in range(0, mids.size, _PANEL_BLOCK):
+        arg = y * np.multiply.outer(mids[i:i + _PANEL_BLOCK], mu)
+        out[i:i + _PANEL_BLOCK] = 0.5 * (np.cos(arg) @ inner_re
+                                         - np.sin(arg) @ inner_im)
     return out
 
 
@@ -202,10 +240,11 @@ def _spectral_average(kt, y, mu, wmu, reduced):
 # on-shell oracle
 
 def _f1_single(x, m, g, q):
-    mu, wmu, reduced = _reduced_angular(m, g, q.n_polar)
-    kt = np.ones(1)
+    mu, weighted = _reduced_angular(m, g, q.n_polar)
+    # one panel of zero half-width at kt = 1
     return sum((3.0 * n / 8.0)
-               * float(_spectral_average(kt, n * x, mu, wmu, reduced[s])[0])
+               * float(_panel_average(n * x, np.ones(1), 0.0, np.zeros(1),
+                                      mu, weighted[s])[0, 0])
                for s, n in m.channels)
 
 
@@ -218,7 +257,7 @@ def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry,
     geometry object can serve a whole sweep).  The value is checked against
     a node-doubled rule and OracleDivergence is raised if the two differ by
     more than refine_tol; the base-rule value is returned.  Deterministic
-    for a fixed spec (fixed shapes, pairwise summation).
+    for a fixed spec (fixed shapes and summation order).
     """
     if q is None:
         q = SphericalQuadratureSpec()
@@ -234,60 +273,68 @@ def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry,
 # ---------------------------------------------------------------------------
 # off-shell (principal value) oracle
 
-def _gl_panels(a: float, b: float, n_panels: int, n_gl: int):
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+def _panels(a: float, b: float, n_panels: int):
+    """Midpoints and the common half-width of n equal panels on [a, b]."""
+    half = 0.5 * (b - a) / n_panels
+    return a + half * (2.0 * np.arange(n_panels) + 1.0), half
 
 
-def _f2_single(x, m, g, q, grid):
-    half_w, tail_start, n_seg_list, z_max = _f2_extents(x, m, grid)
-    n_polar = max(q.n_polar, int(0.55 * z_max) + 40)
-    mu, wmu, reduced = _reduced_angular(m, g, n_polar)
+def _f2_single(x, m, g, q, grid, refine=1):
+    """One pass of the f2 quadrature; refine = 2 doubles the pole panel and
+    tail segment counts of the base pass (refine = 1), and the polar rule,
+    at least refine * q.n_polar nodes, follows the longer grid."""
+    half_w, tail_start, counts, z_max = _f2_extents(x, m, grid, refine)
+    n_polar = max(refine * q.n_polar, int(0.55 * z_max) + 40)
+    mu, weighted = _reduced_angular(m, g, n_polar)
+    pole_x, pole_w = roots_legendre(grid.pole_gl)
+    tail_x, tail_w = roots_legendre(grid.tail_gl)
     total = 0.0
-    for (s, n), n_seg in zip(m.channels, n_seg_list):
+    for (s, n), (n_pan, n_seg) in zip(m.channels, counts):
         y = n * x
-        n_pan = max(8, math.ceil(tail_start * y / math.pi))
-        fold_u, fold_w = _gl_panels(0.0, half_w, n_pan, grid.pole_gl)
-        near_k, near_w = _gl_panels(0.0, tail_start, n_pan, grid.pole_gl)
+        weight = 3.0 * n / 8.0
+
+        def h(mids, half, nodes):
+            kt = mids[:, None] + half * nodes
+            return weight * kt**3 * _panel_average(y, mids, half, nodes, mu,
+                                                   weighted[s])
+
+        fold_mid, fold_half = _panels(0.0, half_w, n_pan)
+        u = fold_mid[:, None] + fold_half * pole_x
+        fold = h(1.0 + fold_mid, fold_half, pole_x) \
+            - h(1.0 - fold_mid, -fold_half, pole_x)
+        pv = float((fold_half * pole_w * fold / u).sum())
+        near_mid, near_half = _panels(0.0, tail_start, n_pan)
+        k = near_mid[:, None] + near_half * pole_x
+        nonres = float((near_half * pole_w * h(near_mid, near_half, pole_x)
+                        / (k + 1.0)).sum())
         seg_len = math.pi / y
-        tail_k, tail_w = _gl_panels(tail_start, tail_start + n_seg * seg_len,
-                                    n_seg, grid.tail_gl)
-        kt = np.concatenate([1.0 + fold_u, 1.0 - fold_u, near_k, tail_k])
-        h = (3.0 * n / 8.0) * kt**3 * _spectral_average(kt, y, mu, wmu,
-                                                        reduced[s])
-        nf = fold_u.size
-        h_up, h_dn = h[:nf], h[nf:2 * nf]
-        h_near = h[2 * nf:2 * nf + near_k.size]
-        h_tail = h[2 * nf + near_k.size:]
-        pv = float((fold_w * (h_up - h_dn) / fold_u).sum())
-        nonres = float((near_w * h_near / (near_k + 1.0)).sum())
-        seg_vals = (tail_w * h_tail * (1.0 / (tail_k - 1.0)
-                                       + 1.0 / (tail_k + 1.0)))
-        partial = np.cumsum(seg_vals.reshape(n_seg, grid.tail_gl).sum(axis=1))
+        tail_mid, tail_half = _panels(tail_start, tail_start + n_seg * seg_len,
+                                      n_seg)
+        k = tail_mid[:, None] + tail_half * tail_x
+        seg_vals = (tail_half * tail_w * h(tail_mid, tail_half, tail_x)
+                    * (1.0 / (k - 1.0) + 1.0 / (k + 1.0)))
+        partial = np.cumsum(seg_vals.sum(axis=1))
         while partial.size > 1:
             partial = 0.5 * (partial[:-1] + partial[1:])
         total += (pv + nonres + float(partial[0])) / math.pi
     return total
 
 
-def _f2_extents(x, m, grid):
-    """Per-channel segment counts and the largest radial phase argument."""
+def _f2_extents(x, m, grid, refine):
+    """Per-channel (pole panel, tail segment) counts and the largest radial
+    phase argument; the counts are multiplied by refine after their floors."""
     half_w = 0.5 * grid.window
     tail_start = 1.0 + half_w
-    n_segs, z_max = [], 0.0
+    counts, z_max = [], 0.0
     for _, n in m.channels:
         y = n * x
         seg_len = math.pi / y
-        n_seg = max(grid.tail_segments,
-                    math.ceil((grid.k_max - tail_start) / seg_len))
-        n_segs.append(n_seg)
+        n_pan = refine * max(8, math.ceil(tail_start * y / math.pi))
+        n_seg = refine * max(grid.tail_segments,
+                             math.ceil((grid.k_max - tail_start) / seg_len))
+        counts.append((n_pan, n_seg))
         z_max = max(z_max, y * (tail_start + n_seg * seg_len))
-    return half_w, tail_start, n_segs, z_max
+    return half_w, tail_start, counts, z_max
 
 
 def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry,
@@ -299,20 +346,18 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry,
     The pole window is integrated by symmetric-grid subtraction, the
     non-resonant branch directly, and the oscillatory tail by half-period
     segmentation with iterated averaging (see module docstring).  The value
-    is re-computed with doubled panel/segment/polar counts; OracleDivergence
-    is raised if the two runs differ by more than
-    refine_tol * max(|value|, 0.01).  Returns the base-grid value; the
-    convergence estimate is logged.
+    is re-computed on a refined grid: twice the pole panels and tail
+    segments of the base grid, and the polar rule of the refined extent
+    (at least 2 * q.n_polar nodes).  OracleDivergence is raised if the two
+    runs differ by more than refine_tol * max(|value|, 0.01).  Returns the
+    base-grid value; the convergence estimate is logged.
     """
     if q is None:
         q = SphericalQuadratureSpec()
     if radial is None:
         radial = RadialPVGrid()
     coarse = _f2_single(x, m, g, q, radial)
-    fine_grid = RadialPVGrid(radial.window, radial.pole_gl,
-                             2 * radial.tail_segments, radial.tail_gl,
-                             radial.k_max)
-    fine = _f2_single(x, m, g, q.doubled(), fine_grid)
+    fine = _f2_single(x, m, g, q, radial, refine=2)
     drift = abs(fine - coarse)
     scale = max(abs(fine), 0.01)
     log.debug("f2_oracle x=%g: value=%.12g, refinement drift=%.3e", x, coarse,

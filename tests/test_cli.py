@@ -265,6 +265,21 @@ def test_dynamics_columns_and_values(capsys):
     assert rows[-1]["p1"] < 1.0
 
 
+def test_dynamics_decays_to_exact_zero_at_huge_times(capsys):
+    # the decay exponent overflows to -inf past t ~ 1e298 here: the
+    # amplitudes take their exact limit 0 without a warning on stderr
+    code, out, err = run_cli(capsys, "dynamics", "--scenario", "isotropic",
+                             "--n-bar", "1e10", "--x", "2",
+                             "--time", "0:1e308:3")
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert [r["t"] for r in rows] == [0.0, 5e307, 1e308]
+    assert rows[0]["p1"] == 1.0
+    for r in rows[1:]:
+        assert r["p1"] == r["p2"] == r["p_plus"] == r["p_minus"] == 0.0
+        assert r["e_int"] == 0.0
+
+
 def test_dynamics_requires_single_separation(capsys):
     code, out, err = run_cli(capsys, "dynamics", "--scenario", "isotropic",
                              "--x", "1:5:10")

@@ -54,6 +54,9 @@ def test_medium_validation():
         MediumChirality(1.0, 0.0)
     with pytest.raises(DomainError):
         MediumChirality(1.0, float("inf"))
+    # both indices finite, but their mean overflows
+    with pytest.raises(DomainError):
+        MediumChirality(1.7e308, 1.7e308)
 
 
 def test_medium_derived_quantities():

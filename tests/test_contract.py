@@ -1,17 +1,23 @@
-"""Input contract of the closed forms, as hypothesis properties.
+"""Input contract of the library and the CLI, as hypothesis properties.
 
 For any x, a float or a 1-d array, each public closed form returns finite
 values or raises a ChidipError, and emits no warning.  A float (or 0-d
 array) gives Python floats; an array gives arrays whose elements equal the
-element-wise float calls.
+element-wise float calls.  The dynamics (evolve, interaction_energy_at)
+keep the same contract for any rates and times.  A CLI run exits 0, 1 or 2
+without a traceback or a warning, and on exit 0 prints only finite rows
+and nothing on stderr.
 """
 
+import contextlib
+import io
 import math
+import re
 import warnings
 from dataclasses import astuple
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chidip import (
@@ -22,9 +28,12 @@ from chidip import (
     aux_i1,
     aux_i2,
     collective_spectrum,
+    evolve,
     f1,
     f2,
+    interaction_energy_at,
 )
+from chidip.cli import _FLAGS, SCENARIOS, main
 
 # each public closed form as x -> tuple of its float (or array) outputs
 CLOSED_FORMS = {
@@ -98,3 +107,143 @@ def test_array_x_matches_elementwise_floats(xs, m, g):
             want = np.array([e[k] for e in each])
             np.testing.assert_allclose(column, want, rtol=1e-14,
                                        atol=1e-15 * m.n_bar, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# dynamics
+
+REALS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+RATES = st.builds(complex, REALS, REALS)
+TIMES = st.one_of(
+    st.lists(st.one_of(st.floats(0.0, 1e3), st.floats(0.0, 1.7e308),
+                       st.sampled_from([0.0, 1e308, math.inf, math.nan, -1.0])),
+             min_size=1, max_size=5).map(sorted),
+    st.lists(REALS, min_size=0, max_size=4),
+)
+
+
+@CONTRACT
+@given(RATES, RATES, TIMES)
+def test_evolve_gives_finite_amplitudes_or_chidip_error(a_l, a_t, times):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            traj = evolve(a_l, a_t, times)
+        except ChidipError:
+            return
+        for column in (traj.c1, traj.c2, traj.c_plus, traj.c_minus,
+                       traj.e_int, traj.p1, traj.p2):
+            assert column.shape == traj.times.shape
+            assert np.all(np.isfinite(column))
+
+
+@CONTRACT
+@given(RATES, st.lists(RATES, min_size=1, max_size=4), REALS)
+def test_interaction_energy_at_gives_finite_values_or_chidip_error(a_l, a_t,
+                                                                   time):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            e_int = interaction_energy_at(a_l, a_t, time)
+        except ChidipError:
+            return
+    assert e_int.shape == (len(a_t),)
+    assert np.all(np.isfinite(e_int))
+
+
+# ---------------------------------------------------------------------------
+# CLI
+
+# valid values nine times out of ten, so that many runs reach the kernel
+def _mostly(valid, invalid):
+    return st.one_of(*[valid] * 9, invalid)
+
+
+NUMBER = _mostly(
+    st.floats(0.05, 20.0).map(repr),
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+              st.sampled_from(["0", "-1", "1e-300", "1e308", "1.7e308", "x",
+                               ""])))
+POINTS = _mostly(st.integers(2, 40).map(str),
+                 st.sampled_from(["-1", "0", "1", "1.5", "x"]))
+RANGE = st.one_of(
+    NUMBER,
+    st.builds(lambda a, b: f"{a}:{b}", NUMBER, NUMBER),
+    st.builds(lambda a, b, n: f"{a}:{b}:{n}", NUMBER, NUMBER, POINTS),
+    st.builds(lambda a, b, n: f"{min(a, b)!r}:{max(a, b)!r}:{n}",
+              st.floats(0.0, 1e308), st.floats(0.0, 1e308), POINTS),
+)
+VECTOR = _mostly(st.builds(lambda *v: ",".join(v), NUMBER, NUMBER, NUMBER),
+                 st.sampled_from(["1,0", "0,0,0", "1,0,0,0"]))
+
+
+def _flags(*pairs):
+    """argv fragment from (flag, value strategy) pairs."""
+    return st.tuples(*(st.tuples(st.just(f), v) for f, v in pairs)).map(
+        lambda kvs: [t for kv in kvs for t in kv])
+
+
+def _maybe(fragment):
+    return st.one_of(st.just([]), fragment)
+
+
+GEOMETRY = st.one_of(
+    _mostly(_flags(("--scenario", st.sampled_from(list(SCENARIOS)))),
+            st.just([])),
+    _flags(("--scenario", st.just("custom")), ("--d1", VECTOR),
+           ("--d2", VECTOR), ("--axis", VECTOR)),
+)
+MEDIUM = st.one_of(
+    st.just([]),
+    _flags(("--n-left", NUMBER), ("--n-right", NUMBER)),
+    _flags(("--n-bar", NUMBER)),
+    _flags(("--n-bar", NUMBER), ("--rotation", NUMBER)),
+)
+FORMAT = _maybe(_flags(("--format", _mostly(st.sampled_from(["csv", "json"]),
+                                            st.just("xml")))))
+CUTOFF = _flags(("--lamb-cutoff", NUMBER))
+# one flag that may clash with the others, be unknown to the command, or
+# lack its value
+STRAY = st.one_of(
+    st.builds(lambda f, v: [f, v], st.sampled_from([*_FLAGS, "--bogus"]),
+              NUMBER),
+    st.sampled_from([[f] for f in _FLAGS]),
+)
+COMMANDS = {
+    "sweep": (GEOMETRY, MEDIUM, _maybe(_flags(("--x", RANGE))), FORMAT,
+              _maybe(CUTOFF)),
+    "dynamics": (GEOMETRY, MEDIUM, _flags(("--x", _mostly(NUMBER, RANGE))),
+                 _maybe(_flags(("--time", RANGE))), FORMAT),
+    "lamb": (MEDIUM, _mostly(CUTOFF, st.just([])), FORMAT),
+}
+ARGV = st.one_of(*(
+    st.tuples(*parts, _mostly(st.just([]), STRAY)).map(
+        lambda frags, c=command: [c, *(t for f in frags for t in f)])
+    for command, parts in COMMANDS.items()))
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ARGV)
+@example(["dynamics", "--scenario", "isotropic", "--n-bar", "1e10",
+          "--x", "2", "--time", "0:1e308:3"])
+@example(["dynamics", "--scenario", "isotropic", "--x", "2",
+          "--time", "0:inf:3"])
+@example(["sweep", "--scenario", "isotropic", "--x", "1e-300:1e-299:2"])
+@example(["sweep", "--scenario", "isotropic", "--n-left", "1.7e308",
+          "--n-right", "1.7e308"])
+def test_cli_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        assert not NON_FINITE.search(out.getvalue())
+    else:
+        assert out.getvalue() == ""

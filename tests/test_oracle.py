@@ -14,10 +14,13 @@ from chidip import (
     normalize_geometry,
 )
 from chidip.specfun import aux_i1, aux_i2
+from scipy.special import roots_legendre
+
 from chidip.oracle import (
     ModeDyadicSample,
     RadialPVGrid,
     SphericalQuadratureSpec,
+    _panel_average,
     _projected_dyadic,
     f1_oracle,
     f2_oracle,
@@ -93,6 +96,31 @@ def test_mode_dyadic_is_frame_covariant():
         base = mode_dyadic_sample(k, -1.0)
         rot = mode_dyadic_sample(k, -1.0, frame_angle=float(rng.uniform(0, 7)))
         assert np.max(np.abs(rot.m_dyadic - base.m_dyadic)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the panel-factored phase kernel
+
+def test_panel_average_matches_direct_node_sum():
+    # the factored (P x J) @ (J x L) product, with the weights at -mu folded
+    # onto +mu, against one exp per radial node and polar node
+    rng = np.random.default_rng(24)
+    for n_polar, n_gl in ((8, 4), (31, 10), (64, 16), (301, 10), (1200, 16)):
+        mu, wmu = roots_legendre(n_polar)
+        weighted = wmu * (rng.normal(size=n_polar)
+                          + 1j * rng.normal(size=n_polar))
+        nodes, _ = roots_legendre(n_gl)
+        for _ in range(3):
+            y = rng.uniform(0.5, 20.0)
+            n_panels = int(rng.integers(1, 300))
+            half = rng.uniform(-1.0, 1.0) * math.pi / y
+            mids = rng.uniform(0.0, 2000.0 / y, size=n_panels)
+            got = _panel_average(y, mids, half, nodes, mu, weighted)
+            kt = mids[:, None] + half * nodes
+            phase = np.exp(1j * y * np.multiply.outer(kt, mu))
+            want = 0.5 * (phase @ weighted).real
+            assert got.shape == (n_panels, n_gl)
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -189,5 +217,15 @@ def test_f2_oracle_helicity_swap_symmetry():
 
 
 def test_f2_oracle_divergence_detected():
-    with pytest.raises(OracleDivergence):
-        f2_oracle(2.0, ACTIVE, ORTH, refine_tol=1e-16)
+    # the refined pass must differ from the base pass also where n*x > 2 pi
+    # in both channels (6.0, (3.25, 1.75)): an impossible tolerance fails
+    for x, m in ((2.0, ACTIVE), (6.0, MediumChirality(3.25, 1.75))):
+        with pytest.raises(OracleDivergence):
+            f2_oracle(x, m, ORTH, refine_tol=1e-16)
+
+
+def test_f2_oracle_deterministic():
+    m = MediumChirality(3.25, 1.75)
+    a = f2_oracle(6.0, m, ISO)
+    b = f2_oracle(6.0, m, ISO)
+    assert a == b
