@@ -26,7 +26,6 @@ from .collective import (
 from .dynamics import (
     AmplitudeTrajectory,
     evolve,
-    interaction_energy,
     interaction_energy_at,
 )
 from .errors import (
@@ -73,7 +72,6 @@ __all__ = [
     "f1",
     "f2",
     "geometry_factors",
-    "interaction_energy",
     "interaction_energy_at",
     "lamb_shift",
     "normalize_geometry",

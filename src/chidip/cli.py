@@ -172,14 +172,22 @@ def _read_config(path, allowed):
 def _parse_flags(command, tokens):
     """Parse a subcommand's flags, then fill the unset ones from --config."""
     parser = argparse.ArgumentParser(prog=f"chidip {command}", add_help=False)
-    keys = set()
-    for flag, commands in _FLAGS.items():
-        if command in commands:
-            parser.add_argument(flag)
-            keys.add(flag[2:].replace("-", "_"))
-    parser.add_argument("--config")
+    flags = [f for f, commands in _FLAGS.items() if command in commands]
+    keys = {flag[2:].replace("-", "_") for flag in flags}
+    flags.append("--config")
+    for flag in flags:
+        parser.add_argument(flag)
+    # argparse reads a value such as -1e-3 as a flag; a token after a flag
+    # that starts with a single '-' is glued to that flag as its value
+    glued = []
+    for tok in tokens:
+        if (glued and glued[-1] in flags and tok.startswith("-")
+                and not tok.startswith("--")):
+            glued[-1] += "=" + tok
+        else:
+            glued.append(tok)
     try:
-        args = parser.parse_args(list(tokens))
+        args = parser.parse_args(glued)
     except SystemExit:
         raise UsageError(f"unrecognized {command} arguments") from None
     if args.config is not None:

@@ -61,6 +61,11 @@ _Y_MIN_F2 = 1e-100
 # y = n*x stays below half the float range
 _Y_MAX = 0.5 * float(np.finfo(float).max)
 
+# largest refractive index: the closed forms, the Lamb shift and the CLI
+# multiply an index by bounded factors below 1e3, so every output stays
+# finite with eight orders of headroom
+_N_MAX = 1e300
+
 # helicity s of the two channels, in the order (n_left, n_right)
 _HELICITY = np.array([1.0, -1.0])
 
@@ -71,7 +76,8 @@ ROTATION_FULL_DIFFERENCE = "difference"        # rho =  n_L - n_R
 
 @dataclass(frozen=True)
 class MediumChirality:
-    """Circular refractive indices of an absorption-free chiral medium."""
+    """Circular refractive indices of an absorption-free chiral medium,
+    stored as Python floats in (0, 1e300]."""
 
     n_left: float
     n_right: float
@@ -79,11 +85,10 @@ class MediumChirality:
     def __post_init__(self):
         for name in ("n_left", "n_right"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be a positive real, got {v}")
-        if not math.isfinite(self.n_bar):
-            raise DomainError(f"n_bar overflows for n_left={self.n_left}, "
-                              f"n_right={self.n_right}")
+            if not (math.isfinite(v) and 0.0 < v <= _N_MAX):
+                raise DomainError(f"{name} must be a real in (0, {_N_MAX:g}], "
+                                  f"got {v}")
+            object.__setattr__(self, name, float(v))
 
     @property
     def n_bar(self) -> float:

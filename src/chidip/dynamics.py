@@ -17,13 +17,16 @@ Everything is evaluated by direct exponentiation (no ODE integrator): the
 solution is exact, and computing C1, C2 from the two exponentials avoids
 cosh/sinh overflow at large |A_T| t.  times are in units of 1/Gamma0.
 
-``interaction_energy_at`` gives E_int at one time for a whole array of A_T
-(one per separation) without the amplitudes.  With f1 = -Re(A_T),
-f2 = Im(A_T), n_bar = -2 Re(A_L), |C_pm|^2 = exp(-(n_bar +- 2 f1) t)/2, so
+E_int is not taken from the amplitudes but from its closed form: with
+f1 = -Re(A_T), f2 = Im(A_T), n_bar = -2 Re(A_L),
+|C_pm|^2 = exp(-(n_bar +- 2 f1) t)/2, so
 
     E_int = sign(f1) f2 exp(-(n_bar - 2|f1|) t) (-expm1(-4|f1| t)),
 
 which neither overflows nor loses digits to cancellation when f1 ~ 0.
+``evolve`` evaluates it over its time grid, and ``interaction_energy_at``
+at one time for a whole array of A_T (one per separation), without the
+amplitudes.
 """
 
 from __future__ import annotations
@@ -127,19 +130,8 @@ def evolve(a_l: complex, a_t: complex, times: ArrayLike) -> AmplitudeTrajectory:
     c_minus = exp_minus / _SQRT2
     c1 = 0.5 * (exp_plus + exp_minus)
     c2 = 0.5 * (exp_plus - exp_minus)
-    e_int = interaction_energy(a_t, c_plus, c_minus)
-    return AmplitudeTrajectory(t, c1, c2, c_plus, c_minus, e_int)
-
-
-def interaction_energy(a_t: complex, c_plus: ArrayLike,
-                       c_minus: ArrayLike) -> np.ndarray:
-    """E_int = -2 Im(A_T) (|C_+|^2 - |C_-|^2) in units of hbar*Gamma0.
-
-    Zero whenever Im(A_T) = 0 or the two exchange populations are equal
-    (in particular at t = 0).
-    """
-    pop_diff = np.abs(np.asarray(c_plus)) ** 2 - np.abs(np.asarray(c_minus)) ** 2
-    return -2.0 * complex(a_t).imag * pop_diff
+    return AmplitudeTrajectory(t, c1, c2, c_plus, c_minus,
+                               _interaction_energy(a_l, a_t, t))
 
 
 def interaction_energy_at(a_l: complex, a_t: ArrayLike,
@@ -152,6 +144,11 @@ def interaction_energy_at(a_l: complex, a_t: ArrayLike,
     """
     a_t = np.asarray(a_t, dtype=complex)
     (t,) = _checked_times(a_l, a_t, time)
+    return _interaction_energy(a_l, a_t, t)
+
+
+def _interaction_energy(a_l: complex, a_t: np.ndarray, t) -> np.ndarray:
+    """The closed-form E_int (module docstring), broadcast over a_t and t."""
     f1, f2 = -a_t.real, a_t.imag
     r = np.abs(f1)
     # both exponents are <= 0 after the growing-mode check, so a product

@@ -6,14 +6,21 @@ mode contributes its transverse dyadic
     M(k_hat, s) = e1 e1 + e2 e2 + s*i (e1 e2 - e2 e1),
 
 projected between the two dipole orientations and weighted by the
-propagation phase exp(i n_lambda x k_hat.r_hat).  Both oracles share one
-angular reduction: with the polar axis along r_hat the phase depends on
-mu = k_hat.r_hat only, so the projected dyadic is averaged over phi (exact
-on a small uniform grid, since it is quadratic in k_hat) and the mu
-integral is done by Gauss-Legendre (``scipy.special.roots_legendre``).  The
-on-shell part (f1) evaluates that average at |k| = n_lambda k0; the
-off-shell part (f2) additionally performs the radial principal-value
-integral over the mode frequency, including the non-resonant branch.
+propagation phase exp(i n_lambda x k_hat.r_hat).  M does not depend on the
+choice of (e1, e2), so the projection is evaluated frame-free,
+
+    d2 . M(k_hat, s) . d1 = d2.d1 - (k_hat.d2)(k_hat.d1) + s i k_hat.(d2 x d1),
+
+and no transverse frame is built per mode direction (``mode_dyadic_sample``
+builds M from an explicit frame and is the test reference for this form).
+Both oracles share one angular reduction: with the polar axis along r_hat
+the phase depends on mu = k_hat.r_hat only, so the projected dyadic is
+averaged over phi (exact on a small uniform grid, since it is quadratic in
+k_hat) and the mu integral is done by Gauss-Legendre
+(``scipy.special.roots_legendre``).  The on-shell part (f1) evaluates that
+average at |k| = n_lambda k0; the off-shell part (f2) additionally performs
+the radial principal-value integral over the mode frequency, including the
+non-resonant branch.
 
 Both oracles also share one phase kernel.  Every radial grid is made of
 equal-width Gauss-Legendre panels (f1 is a single panel of zero width at
@@ -32,10 +39,10 @@ temporaries at _PANEL_BLOCK x n_polar/2 reals.
 Normalization is fixed analytically by the calibration limit: an inactive
 medium with parallel dipoles must give n_bar/2 as x -> 0, which pins the
 per-polarization weight to (3 n_lambda / 8) on a (dOmega/4pi)-normalized
-angular average.  With the right-handed transverse frame used here
-(e1 x e2 = k_hat) and the axis pointing from dipole 2 to dipole 1, the
-propagation phase must carry +i for the helicity term to land on the same
-sign as the closed form.
+angular average.  With M built on a right-handed frame (e1 x e2 = k_hat)
+and the axis pointing from dipole 2 to dipole 1, the propagation phase
+must carry +i for the helicity term to land on the same sign as the
+closed form.
 
 The radial integral for f2 is genuinely improper: its integrand grows ~k
 with undamped oscillation and is only Abel summable.  A fixed truncation
@@ -167,11 +174,11 @@ def _transverse_frame(khat: np.ndarray):
 
 
 def _projected_dyadic(khat, helicity, d1h, d2h):
-    """d2 . M(k_hat, s) . d1 for every row of khat (vectorized)."""
-    e1, e2 = _transverse_frame(khat)
-    a1, a2 = e1 @ d1h, e2 @ d1h
-    b1, b2 = e1 @ d2h, e2 @ d2h
-    return b1 * a1 + b2 * a2 + helicity * 1j * (b1 * a2 - b2 * a1)
+    """d2 . M(k_hat, s) . d1 for every row of khat (vectorized), from the
+    frame-free form d2.d1 - (k.d2)(k.d1) + s i k.(d2 x d1), which follows
+    from e1 e1 + e2 e2 = 1 - k k and e1 e2 - e2 e1 = -[k]x."""
+    return (d2h @ d1h - (khat @ d2h) * (khat @ d1h)
+            + helicity * 1j * (khat @ np.cross(d2h, d1h)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,28 +188,18 @@ def _reduced_angular(m, g, n_polar):
     """Gauss-Legendre nodes in mu and, per helicity, the phi-averaged
     projected dyadic times the mu weights (polar axis along r_hat).
 
-    With the polar axis aligned to the interdipole axis the propagation
-    phase depends on mu only, and the phi average of the (quadratic in
-    k_hat) projected dyadic is exact on the _N_AZIMUTHAL-point grid.
+    The directions k_hat = sqrt(1 - mu^2) (cos phi e_a + sin phi e_b)
+    + mu r_hat are built in the basis (e_a, e_b, r_hat), so the
+    propagation phase depends on mu only, and the phi average of the
+    (quadratic in k_hat) projected dyadic is exact on the
+    _N_AZIMUTHAL-point grid.
     """
     mu, wmu = roots_legendre(n_polar)
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(g.r_hat @ z)
-    if c > 1.0 - 1e-12:
-        rot = np.eye(3)
-    elif c < -1.0 + 1e-12:
-        rot = np.diag([1.0, -1.0, -1.0])
-    else:
-        v = np.cross(z, g.r_hat)
-        vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-        rot = np.eye(3) + vx + vx @ vx / (1.0 + c)
+    e_a, e_b = _transverse_frame(g.r_hat[None, :])
     phi = 2.0 * np.pi * np.arange(_N_AZIMUTHAL) / _N_AZIMUTHAL
-    st = np.sqrt(1.0 - mu**2)
-    khat = np.stack([
-        np.multiply.outer(st, np.cos(phi)),
-        np.multiply.outer(st, np.sin(phi)),
-        np.multiply.outer(mu, np.ones_like(phi)),
-    ], axis=-1).reshape(-1, 3) @ rot.T
+    ring = np.cos(phi)[:, None] * e_a + np.sin(phi)[:, None] * e_b
+    khat = (np.sqrt(1.0 - mu**2)[:, None, None] * ring
+            + mu[:, None, None] * g.r_hat).reshape(-1, 3)
     weighted = {}
     for s, _ in m.channels:
         proj = _projected_dyadic(khat, s, g.d1_hat, g.d2_hat)

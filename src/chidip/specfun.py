@@ -14,7 +14,12 @@ They are evaluated by closed forms in terms of Si/Ci:
       I2(u) = 1/u   - [  Ci(u) sin u + (pi/2 - Si(u)) cos u ]
 
 ``aux_i1`` and ``aux_i2`` take a float or an array of u and evaluate every
-element on the same path; a float in gives float fields out.  Below
+element on the same path; a float in gives float fields out.  Their
+``est_abs_error`` bounds the absolute error: 1e-15 times the magnitudes of
+the value, of the leading term and of Ci(u), plus pi/2 for the absolute
+error of pi/2 - Si(u).  It holds with a factor of about 2 to spare against
+40-digit mpmath over u in [1e-3, 1e6]; at large u it exceeds the value,
+which the closed form gets by cancellation.  Below
 sqrt(tiny) ~ 1.5e-154 (I1) and tiny ~ 2.2e-308 (I2) the leading 1/u^2 and
 1/u terms leave the float range, and both raise DomainError there.
 
@@ -35,8 +40,11 @@ from scipy.special import sici
 from ._arrays import as_floats, first_failing, to_output
 from .errors import DomainError
 
-# a few ulps of headroom over scipy's sici accuracy (~2 ulp)
-_REL_EPS = 4e-16
+# error scale of the closed forms: scipy's Si(u) and Ci(u) are within
+# 3.7 eps (absolute, or relative to |Ci| where |Ci| > 1) of 40-digit mpmath
+# on u > 0, the worst in u in [3, 4]; 1e-15 is 4.5 eps, and it also covers
+# the rounding of 1/u^2 (1/u) and of the products and sums
+_ERR = 1e-15
 
 # smallest u of I1 and I2: u^2 and u still normal, 1/u^2 and 1/u <= 4.5e307
 _TINY = float(np.finfo(float).tiny)
@@ -81,18 +89,21 @@ def _aux_terms(u, name, u_min):
 
 
 def aux_i1(u) -> AuxIntegralResult:
-    """I1(u) via the Si/Ci closed form; absolute error a few ulps of 1/u^2."""
+    """I1(u) via the Si/Ci closed form, with an absolute error bound of
+    about 1e-15 (1/u^2 + 3); at large u that exceeds I1 ~ 6/u^4."""
     u, r, si, ci = _aux_terms(u, "I1", _U_MIN_I1)
     r2 = r * r
     value = r2 - (-ci * np.cos(u) + (np.pi / 2 - si) * np.sin(u))
-    # error is set by the largest intermediate, 1/u^2 at small u
-    est = _REL_EPS * np.maximum(np.abs(value), r2)
+    # pi/2 stands in for pi/2 - Si(u), whose absolute error does not
+    # shrink with its value
+    est = _ERR * (np.abs(value) + r2 + np.abs(ci) + np.pi / 2)
     return AuxIntegralResult(to_output(value), to_output(est))
 
 
 def aux_i2(u) -> AuxIntegralResult:
-    """I2(u) via the Si/Ci closed form; absolute error a few ulps of 1/u."""
+    """I2(u) via the Si/Ci closed form, with an absolute error bound of
+    about 1e-15 (1/u + 3); at large u that exceeds I2 ~ 2/u^3."""
     u, r, si, ci = _aux_terms(u, "I2", _U_MIN_I2)
     value = r - (ci * np.sin(u) + (np.pi / 2 - si) * np.cos(u))
-    est = _REL_EPS * np.maximum(np.abs(value), r)
+    est = _ERR * (np.abs(value) + r + np.abs(ci) + np.pi / 2)
     return AuxIntegralResult(to_output(value), to_output(est))

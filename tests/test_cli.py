@@ -145,6 +145,14 @@ def test_rotation_flag_equals_explicit_pair(capsys):
                                "--rotation", "-1.5")
     assert code == 0
     assert out_pair == out_rot
+    # a negative value in exponent notation is a value, not a flag
+    outs = []
+    for rotation in ("-1e-3", "-0.001"):
+        code, out, err = run_cli(capsys, *base, "--n-bar", "3",
+                                 "--rotation", rotation)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +210,15 @@ def test_custom_scenario_requires_vectors(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert len(rows) == 3
+
+    outs = []
+    for d1 in ("-1e-3,1,0", "-0.001,1,0"):
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "custom",
+                                 "--d1", d1, "--d2", "0,1,0",
+                                 "--axis", "0,0,1", "--x", "1:2:3")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_preset_conflicts_with_explicit_vectors(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chidip import (
@@ -153,6 +155,21 @@ def test_exchange_symmetry():
         for m in (VACUUM, ACTIVE):
             assert_allclose(f1(1.7, m, gs), f1(1.7, m, g), rtol=1e-12)
             assert_allclose(f2(1.7, m, gs), f2(1.7, m, g), rtol=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.floats(1e-3, 1e3), st.floats(1e-90, 1e6)),
+       st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_helicity_swap_symmetry(x, n_left, n_right, abc):
+    # swapping n_left <-> n_right together with c -> -c relabels the same
+    # physics: f1 and f2 agree bitwise
+    a, b, c = abc
+    m, g = MediumChirality(n_left, n_right), GeometryInvariants(a, b, c)
+    swapped = MediumChirality(n_right, n_left)
+    g_flip = GeometryInvariants(a, b, -c)
+    for fn in (f1, f2):
+        assert fn(x, m, g) == fn(x, swapped, g_flip)
 
 
 def test_far_field_decay():

@@ -1,13 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chidip import (
-    DomainError,
-    UnphysicalRates,
-    evolve,
-    interaction_energy,
-)
+from chidip import DomainError, UnphysicalRates, evolve
 
 T_DENSE = np.linspace(0.0, 5.0, 501)
 
@@ -128,5 +124,21 @@ def test_interaction_energy_decays():
     a_l, a_t = complex(-0.8, 0.0), complex(-0.5, 1.7)
     traj = evolve(a_l, a_t, np.linspace(0.0, 80.0, 200))
     assert abs(traj.e_int[-1]) < 1e-20
-    assert interaction_energy(a_t, traj.c_plus[-1:], traj.c_minus[-1:])[0] \
-        == traj.e_int[-1]
+    # the closed form against the amplitudes: E_int = -2 f2 (|C+|^2 - |C-|^2)
+    assert_allclose(traj.e_int, -2.0 * a_t.imag * (traj.p_plus - traj.p_minus),
+                    rtol=1e-13, atol=1e-16)
+
+
+def test_interaction_energy_keeps_its_digits_when_f1_vanishes():
+    # against -2 f2 (|C+|^2 - |C-|^2) at 50 digits; in doubles that
+    # population difference loses the digits that f1 ~ 0 cancels
+    times = [0.0, 0.5, 1.0, 2.5, 5.0]
+    for a_t in (complex(-1e-14, 2.0), complex(-1e-9, 0.3)):
+        got = evolve(-1.5, a_t, times).e_int
+        with mpmath.workdps(50):
+            re_t, f2 = mpmath.mpf(a_t.real), mpmath.mpf(a_t.imag)
+            for t, e in zip(times, got):
+                want = -f2 * (mpmath.exp(2 * (-1.5 + re_t) * t)
+                              - mpmath.exp(2 * (-1.5 - re_t) * t))
+                assert abs(mpmath.mpf(float(e)) - want) <= 1e-14 * abs(want), \
+                    (a_t, t)

@@ -34,6 +34,8 @@ ACTIVE = MediumChirality(1.5, 4.5)
 SYNTROPIC = normalize_geometry((1, 0, 0), (1, 0, 0), (0, 0, 1), 1.0)
 ORTH = normalize_geometry((1, 0, 0), (0, 1, 0), (0, 0, 1), 1.0)
 ISO = normalize_geometry((1, 1, 1), (1, 1, 1), (0, 0, 1), 1.0)
+# axis along -z: the polar axis of the angular reduction points down
+ORTH_DOWN = normalize_geometry((1, 0, 0), (0, 1, 0), (0, 0, -1), 1.0)
 
 
 def _random_geometry(rng):
@@ -187,7 +189,7 @@ def test_f2_oracle_inactive_orthogonal_vanishes():
 
 def test_f2_oracle_matches_closed_form():
     for x, m, geo in ((2.0, VACUUM, SYNTROPIC), (2.0, ACTIVE, ORTH),
-                      (4.0, ACTIVE, ISO)):
+                      (4.0, ACTIVE, ISO), (2.0, ACTIVE, ORTH_DOWN)):
         want = f2(x, m, geometry_factors(geo))
         got = f2_oracle(x, m, geo)
         assert abs(got - want) / max(abs(want), 0.01) < 1e-3

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -62,6 +63,23 @@ def test_error_estimates():
     res = aux_i1_quadrature(2.0)
     assert res.est_abs_error <= 1e-10
     assert abs(res.value - aux_i1(2.0).value) <= res.est_abs_error + 1e-12
+
+
+def test_error_bound_holds_against_mpmath():
+    # the whole log range, and densely the band u in [2, 5], where scipy's
+    # Si/Ci are least accurate
+    u = np.concatenate([np.logspace(-3, 6, 1500), np.linspace(2.0, 5.0, 300)])
+    got = (aux_i1(u), aux_i2(u))
+    with mpmath.workdps(40):
+        for k, v in enumerate(u):
+            v = mpmath.mpf(v)
+            si, ci = mpmath.si(v), mpmath.ci(v)
+            h = mpmath.pi / 2 - si
+            refs = (1 / v**2 - (-ci * mpmath.cos(v) + h * mpmath.sin(v)),
+                    1 / v - (ci * mpmath.sin(v) + h * mpmath.cos(v)))
+            for res, ref in zip(got, refs):
+                err = abs(mpmath.mpf(float(res.value[k])) - ref)
+                assert err <= res.est_abs_error[k], v
 
 
 def test_domain_errors():
