@@ -43,7 +43,7 @@ from .geometry import (
     geometry_factors,
     normalize_geometry,
 )
-from .specfun import AuxIntegralResult, aux_i1, aux_i2, sin_cos_integrals
+from .specfun import AuxIntegralResult, aux_i1, aux_i2
 
 __version__ = "0.1.0"
 
@@ -76,6 +76,5 @@ __all__ = [
     "lamb_shift",
     "normalize_geometry",
     "rate_coefficients",
-    "sin_cos_integrals",
     "__version__",
 ]

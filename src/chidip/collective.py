@@ -31,17 +31,16 @@ cancellation of the 1/y^2 and 1/y^3 terms, so they switch to Taylor/Laurent
 series (through order y^6); the two paths agree to ~1e-14 at the
 switchover.
 
-f1, f2, a_t and collective_spectrum take a float or an array of x of any
-shape.  Both helicity channels ride on a trailing axis of length 2 and every
-element runs the same code: each bracket form is evaluated on all elements,
-with Y_SERIES standing in for the arguments on the other side of the
-switch, and a mask picks the result.  A float x gives Python floats back.
-An invalid x raises InvalidSeparation naming the first offending value.
+f1, f2, a_t and collective_spectrum take a float (giving floats) or an
+array of x of any shape, with both helicity channels on a trailing axis of
+length 2; f2, a_t and collective_spectrum share one pass that yields F1 and
+F2.  An invalid x raises InvalidSeparation naming the first offending value.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ import numpy as np
 from ._arrays import as_floats, first_failing, to_output
 from .errors import DomainError, InvalidSeparation
 from .geometry import GeometryInvariants
-from .specfun import aux_i1, aux_i2
+from .specfun import _aux_parts
 
 # bracket evaluation switches from trig to series below this y = n*x
 Y_SERIES = 0.05
@@ -85,7 +84,7 @@ class MediumChirality:
     def __post_init__(self):
         for name in ("n_left", "n_right"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 < v <= _N_MAX):
+            if not (isinstance(v, numbers.Real) and 0.0 < v <= _N_MAX):
                 raise DomainError(f"{name} must be a real in (0, {_N_MAX:g}], "
                                   f"got {v}")
             object.__setattr__(self, name, float(v))
@@ -114,6 +113,8 @@ class MediumChirality:
         ``"difference"`` (rho = n_L - n_R).  See the README for why the
         half-difference convention is the default.
         """
+        if not all(isinstance(v, numbers.Real) for v in (n_bar, rotation)):
+            raise DomainError(f"non-real n_bar or rotation: {n_bar!r}, {rotation!r}")
         if convention == ROTATION_HALF_DIFFERENCE:
             half = rotation
         elif convention == ROTATION_FULL_DIFFERENCE:
@@ -193,54 +194,40 @@ def _series(y, table):
     return acc
 
 
-def _f1_brackets_direct(y):
+def _brackets_direct(y, with_f2):
     sy, cy, u = np.sin(y), np.cos(y), 1.0 / y
     b3 = u * (cy - u * sy)              # cos y/y - sin y/y^2
     b1 = u * (sy + b3)                  # sin y/y + cos y/y^2 - sin y/y^3
     b2 = u * (sy + 3 * b3)              # sin y/y + 3 cos y/y^2 - 3 sin y/y^3
-    return b1, b2, b3
-
-
-def _f1_brackets_series(y):
-    p = _series(y, _F1_SERIES)
-    return p[..., 0], p[..., 1], y * p[..., 2]
-
-
-def _f2_brackets_direct(y):
-    sy, cy, u = np.sin(y), np.cos(y), 1.0 / y
+    if not with_f2:
+        return b1, b2, b3
     d3 = u * (sy + u * cy)              # sin y/y + cos y/y^2
     d1 = u * (cy - d3)                  # cos y/y - sin y/y^2 - cos y/y^3
     d2 = u * (cy - 3 * d3)              # cos y/y - 3 sin y/y^2 - 3 cos y/y^3
-    return d1, d2, d3
+    return b1, b2, b3, d1, d2, d3
 
 
-def _f2_brackets_series(y):
+def _brackets_series(y, with_f2):
+    p = _series(y, _F1_SERIES)
+    b = p[..., 0], p[..., 1], y * p[..., 2]
+    if not with_f2:
+        return b
     p = _series(y, _F2_SERIES)
     u2 = 1.0 / np.square(y)
     u3 = u2 / y
-    return u3 * p[..., 0], u3 * p[..., 1], u2 * p[..., 2]
+    return b + (u3 * p[..., 0], u3 * p[..., 1], u2 * p[..., 2])
 
 
-def _switch(y, series, direct):
-    """series(y) where y < Y_SERIES, direct(y) elsewhere, per element.
-
-    Each form sees only arguments from its own side of the switch; Y_SERIES
-    stands in for the others, so neither form overflows on them.
-    """
-    lo = series(np.minimum(y, Y_SERIES))
-    hi = direct(np.maximum(y, Y_SERIES))
+def _brackets(y, with_f2):
+    """f1's brackets (b1, b2, b3), then f2's (d1, d2, d3) if with_f2: the
+    series below Y_SERIES, the trig forms (one sin/cos) elsewhere; Y_SERIES
+    stands in for the other side's arguments, so neither form overflows."""
+    lo = _brackets_series(np.minimum(y, Y_SERIES), with_f2)
+    hi = _brackets_direct(np.maximum(y, Y_SERIES), with_f2)
     small = y < Y_SERIES
     for a, b in zip(lo, hi):
         np.copyto(b, a, where=small)
     return hi
-
-
-def _f1_brackets(y):
-    return _switch(y, _f1_brackets_series, _f1_brackets_direct)
-
-
-def _f2_brackets(y):
-    return _switch(y, _f2_brackets_series, _f2_brackets_direct)
 
 
 def _channels(x, m):
@@ -262,6 +249,29 @@ def _channels(x, m):
 # ---------------------------------------------------------------------------
 # the collective coefficient functions
 
+def _channel_sum(n, g, b1, b2, b3):
+    """sum over both channels of (3n/8) (a b1 - b b2 + s c b3)."""
+    terms = (3 * n / 8) * (g.a * b1 - g.b * b2 + g.c * _HELICITY * b3)
+    return to_output(terms[..., 0] + terms[..., 1])
+
+
+def _exchange(x, m, g):
+    """(F1, F2) from one check of x, one _brackets and one _aux_parts."""
+    x, n, y = _channels(x, m)
+    ok = x >= max(_Y_MIN_F2 * max(v, 1.0) ** (1 / 3) / v
+                  for v in (m.n_left, m.n_right))
+    if not ok.all():
+        raise InvalidSeparation(
+            f"separation x={first_failing(x, ok)} is too small: "
+            f"f2 ~ 1/x^3 overflows")
+    b1, b2, b3, d1, d2, d3 = _brackets(y, with_f2=True)
+    u, p1, p2, _ = _aux_parts(y)        # I1 = u^2 - p1, I2 = u - p2
+    aux = (2 / np.pi) * u * (u * u - p1 + u * (u - p2))
+    # the c term of F2 is -s c (d3 + aux)
+    return (_channel_sum(n, g, b1, b2, b3),
+            _channel_sum(n, g, d1, d2, -(d3 + aux)))
+
+
 def f1(x, m: MediumChirality, g: GeometryInvariants):
     """On-shell exchange function (collective decay modifier).
 
@@ -270,9 +280,7 @@ def f1(x, m: MediumChirality, g: GeometryInvariants):
     helicities.  x is a float or an array; a float gives a float.
     """
     x, n, y = _channels(x, m)
-    b1, b2, b3 = _f1_brackets(y)
-    terms = (3 * n / 8) * (g.a * b1 - g.b * b2 + g.c * _HELICITY * b3)
-    return to_output(terms[..., 0] + terms[..., 1])
+    return _channel_sum(n, g, *_brackets(y, with_f2=False))
 
 
 def f2(x, m: MediumChirality, g: GeometryInvariants):
@@ -284,25 +292,14 @@ def f2(x, m: MediumChirality, g: GeometryInvariants):
     n*x below 1e-100 * cbrt(max(n, 1)) in either channel, which keeps
     (3n/8)/(n*x)^3 below 4e299.
     """
-    x, n, y = _channels(x, m)
-    ok = x >= max(_Y_MIN_F2 * max(v, 1.0) ** (1 / 3) / v
-                  for v in (m.n_left, m.n_right))
-    if not ok.all():
-        raise InvalidSeparation(
-            f"separation x={first_failing(x, ok)} is too small: "
-            f"f2 ~ 1/x^3 overflows")
-    d1, d2, d3 = _f2_brackets(y)
-    u = 1.0 / y
-    aux = (2 / np.pi) * u * (aux_i1(y).value + u * aux_i2(y).value)
-    terms = (3 * n / 8) * (g.a * d1 - g.b * d2
-                           - g.c * _HELICITY * (d3 + aux))
-    return to_output(terms[..., 0] + terms[..., 1])
+    return _exchange(x, m, g)[1]
 
 
 def a_t(x, m: MediumChirality, g: GeometryInvariants):
     """Exchange coefficient A_T/Gamma0 = -F1 + i*F2 (complex, or a complex
     array for an array x)."""
-    return -f1(x, m, g) + 1j * f2(x, m, g)
+    f1v, f2v = _exchange(x, m, g)
+    return -f1v + 1j * f2v
 
 
 def a_l_damping(m: MediumChirality) -> float:
@@ -337,8 +334,7 @@ def collective_spectrum(x, m: MediumChirality, g: GeometryInvariants,
     delta = 2*F2 is unaffected either way.  For an array x every field is
     an array of the same shape.
     """
-    f1v = f1(x, m, g)
-    f2v = f2(x, m, g)
+    f1v, f2v = _exchange(x, m, g)
     lamb = lamb_shift(m, cutoff) if cutoff is not None else 0.0
     return CollectiveSpectrum(
         gamma_plus=0.5 * m.n_bar + f1v,

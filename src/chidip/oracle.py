@@ -50,15 +50,17 @@ can therefore never converge; instead the pole window is integrated by
 symmetric-grid subtraction (exact PV fold), and beyond the window the tail
 is accumulated in half-period segments that are then contracted by iterated
 pairwise averaging (Euler/Cesaro acceleration of an alternating series).
-The segment grid always reaches at least ``k_max`` (default 50) before
-acceleration.  The polar rule has at least 0.55 z + 40 nodes, z the largest
-radial phase argument y k of the grid.
+The pole window is [0, 2] (k/k0), integrated on panels of 16
+Gauss-Legendre points; the tail starts at 2 and has at least 48 segments
+of 10 points, and always reaches at least k/k0 = 50 before acceleration.
+The polar rule has at least 64 and at least 0.55 z + 40 nodes, z the
+largest radial phase argument y k of the grid.  These grids are fixed:
+the refinement check below, not a tuning knob, guards their accuracy.
 
-Each oracle checks itself against a refined pass: f1 against a rule with
-twice the polar nodes, f2 against a grid with twice the pole panels (half
-their width), twice the tail segments (so the tail reaches twice as far)
-and the polar rule of that longer grid, never fewer than twice
-``n_polar`` nodes.
+Each oracle checks itself against a refined pass: f1 (64 polar nodes)
+against a rule with 128, f2 against a grid with twice the pole panels
+(half their width), twice the tail segments (so the tail reaches twice as
+far) and the polar rule of that longer grid, never fewer than 128 nodes.
 
 The auxiliary integrals I1/I2 of :mod:`chidip.specfun` have their own
 oracle here as well: adaptive quadrature of the defining integrals
@@ -88,50 +90,15 @@ log = logging.getLogger(__name__)
 
 _PANEL_BLOCK = 128      # panels per phase-matrix block (memory cap)
 _N_AZIMUTHAL = 16       # phi nodes; exact for the quadratic dyadic (>= 6)
-
-
-@dataclass(frozen=True)
-class SphericalQuadratureSpec:
-    """Gauss-Legendre rule in mu = k_hat.r_hat (polar axis along r_hat)."""
-
-    n_polar: int = 64
-
-    def __post_init__(self):
-        if self.n_polar < 8 or self.n_polar % 2:
-            raise DomainError(f"n_polar must be even and >= 8, got {self.n_polar}")
-
-    def doubled(self) -> "SphericalQuadratureSpec":
-        return SphericalQuadratureSpec(2 * self.n_polar)
-
-
-@dataclass(frozen=True)
-class RadialPVGrid:
-    """Radial grid for the off-shell (principal-value) integral.
-
-    window: full width of the symmetric PV window centred on the pole at
-        k/k0 = 1 (the window [1 - window/2, 1 + window/2] must stay >= 0).
-    pole_gl: Gauss-Legendre points per panel inside the window.
-    tail_segments: minimum number of half-period segments past the window;
-        raised automatically until the grid reaches k_max.
-    tail_gl: Gauss-Legendre points per tail segment.
-    k_max: the tail grid extends at least to this multiple of k0.
-    """
-
-    window: float = 2.0
-    pole_gl: int = 16
-    tail_segments: int = 48
-    tail_gl: int = 10
-    k_max: float = 50.0
-
-    def __post_init__(self):
-        if not 0.0 < self.window <= 2.0:
-            raise DomainError(f"window must be in (0, 2], got {self.window}")
-        if self.pole_gl < 4 or self.tail_gl < 4:
-            raise DomainError("pole_gl and tail_gl must be >= 4")
-        if self.tail_segments < 8:
-            raise DomainError("tail_segments must be >= 8")
-        if self.k_max <= 1.0 + 0.5 * self.window:
-            raise DomainError("k_max must lie beyond the PV window")
+_N_POLAR = 64           # polar nodes of a base pass (f2: at least this)
+_HALF_WINDOW = 1.0      # PV window [1 - 1, 1 + 1] around the pole at k/k0 = 1
+_TAIL_START = 1.0 + _HALF_WINDOW
+_TAIL_SEGMENTS = 48     # fewest half-period tail segments of a base pass
+_K_MAX = 50.0           # the tail reaches at least this k/k0
+# Gauss-Legendre rules of the pole panels and of the tail segments, built
+# once; the polar rules depend on x and are built per pass
+_POLE_X, _POLE_W = roots_legendre(16)
+_TAIL_X, _TAIL_W = roots_legendre(10)
 
 
 @dataclass(frozen=True)
@@ -236,8 +203,8 @@ def _panel_average(y, mids, half, nodes, mu, weighted):
 # ---------------------------------------------------------------------------
 # on-shell oracle
 
-def _f1_single(x, m, g, q):
-    mu, weighted = _reduced_angular(m, g, q.n_polar)
+def _f1_single(x, m, g, n_polar):
+    mu, weighted = _reduced_angular(m, g, n_polar)
     # one panel of zero half-width at kt = 1
     return sum((3.0 * n / 8.0)
                * float(_panel_average(n * x, np.ones(1), 0.0, np.zeros(1),
@@ -245,25 +212,22 @@ def _f1_single(x, m, g, q):
                for s, n in m.channels)
 
 
-def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry,
-              q: SphericalQuadratureSpec | None = None,
+def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
               refine_tol: float = 1e-9) -> float:
     """On-shell coefficient by angular quadrature of the mode sum at |k| = n k0.
 
     The explicit separation argument is used (g.x is not consulted, so one
-    geometry object can serve a whole sweep).  The value is checked against
-    a node-doubled rule and OracleDivergence is raised if the two differ by
-    more than refine_tol; the base-rule value is returned.  Deterministic
-    for a fixed spec (fixed shapes and summation order).
+    geometry object can serve a whole sweep).  The value of the 64-node
+    polar rule is checked against a 128-node rule and OracleDivergence is
+    raised if the two differ by more than refine_tol; the 64-node value is
+    returned.  Deterministic (fixed shapes and summation order).
     """
-    if q is None:
-        q = SphericalQuadratureSpec()
-    coarse = _f1_single(x, m, g, q)
-    fine = _f1_single(x, m, g, q.doubled())
+    coarse = _f1_single(x, m, g, _N_POLAR)
+    fine = _f1_single(x, m, g, 2 * _N_POLAR)
     if abs(fine - coarse) > refine_tol:
         raise OracleDivergence(
             f"f1 quadrature drift {abs(fine - coarse):.3e} > {refine_tol:.1e} "
-            f"at x={x} with {q}")
+            f"at x={x} with {_N_POLAR} polar nodes")
     return coarse
 
 
@@ -276,15 +240,13 @@ def _panels(a: float, b: float, n_panels: int):
     return a + half * (2.0 * np.arange(n_panels) + 1.0), half
 
 
-def _f2_single(x, m, g, q, grid, refine=1):
+def _f2_single(x, m, g, refine=1):
     """One pass of the f2 quadrature; refine = 2 doubles the pole panel and
     tail segment counts of the base pass (refine = 1), and the polar rule,
-    at least refine * q.n_polar nodes, follows the longer grid."""
-    half_w, tail_start, counts, z_max = _f2_extents(x, m, grid, refine)
-    n_polar = max(refine * q.n_polar, int(0.55 * z_max) + 40)
+    at least refine * _N_POLAR nodes, follows the longer grid."""
+    counts, z_max = _f2_extents(x, m, refine)
+    n_polar = max(refine * _N_POLAR, int(0.55 * z_max) + 40)
     mu, weighted = _reduced_angular(m, g, n_polar)
-    pole_x, pole_w = roots_legendre(grid.pole_gl)
-    tail_x, tail_w = roots_legendre(grid.tail_gl)
     total = 0.0
     for (s, n), (n_pan, n_seg) in zip(m.channels, counts):
         y = n * x
@@ -295,20 +257,20 @@ def _f2_single(x, m, g, q, grid, refine=1):
             return weight * kt**3 * _panel_average(y, mids, half, nodes, mu,
                                                    weighted[s])
 
-        fold_mid, fold_half = _panels(0.0, half_w, n_pan)
-        u = fold_mid[:, None] + fold_half * pole_x
-        fold = h(1.0 + fold_mid, fold_half, pole_x) \
-            - h(1.0 - fold_mid, -fold_half, pole_x)
-        pv = float((fold_half * pole_w * fold / u).sum())
-        near_mid, near_half = _panels(0.0, tail_start, n_pan)
-        k = near_mid[:, None] + near_half * pole_x
-        nonres = float((near_half * pole_w * h(near_mid, near_half, pole_x)
+        fold_mid, fold_half = _panels(0.0, _HALF_WINDOW, n_pan)
+        u = fold_mid[:, None] + fold_half * _POLE_X
+        fold = h(1.0 + fold_mid, fold_half, _POLE_X) \
+            - h(1.0 - fold_mid, -fold_half, _POLE_X)
+        pv = float((fold_half * _POLE_W * fold / u).sum())
+        near_mid, near_half = _panels(0.0, _TAIL_START, n_pan)
+        k = near_mid[:, None] + near_half * _POLE_X
+        nonres = float((near_half * _POLE_W * h(near_mid, near_half, _POLE_X)
                         / (k + 1.0)).sum())
         seg_len = math.pi / y
-        tail_mid, tail_half = _panels(tail_start, tail_start + n_seg * seg_len,
-                                      n_seg)
-        k = tail_mid[:, None] + tail_half * tail_x
-        seg_vals = (tail_half * tail_w * h(tail_mid, tail_half, tail_x)
+        tail_mid, tail_half = _panels(_TAIL_START,
+                                      _TAIL_START + n_seg * seg_len, n_seg)
+        k = tail_mid[:, None] + tail_half * _TAIL_X
+        seg_vals = (tail_half * _TAIL_W * h(tail_mid, tail_half, _TAIL_X)
                     * (1.0 / (k - 1.0) + 1.0 / (k + 1.0)))
         partial = np.cumsum(seg_vals.sum(axis=1))
         while partial.size > 1:
@@ -317,26 +279,22 @@ def _f2_single(x, m, g, q, grid, refine=1):
     return total
 
 
-def _f2_extents(x, m, grid, refine):
+def _f2_extents(x, m, refine):
     """Per-channel (pole panel, tail segment) counts and the largest radial
     phase argument; the counts are multiplied by refine after their floors."""
-    half_w = 0.5 * grid.window
-    tail_start = 1.0 + half_w
     counts, z_max = [], 0.0
     for _, n in m.channels:
         y = n * x
         seg_len = math.pi / y
-        n_pan = refine * max(8, math.ceil(tail_start * y / math.pi))
-        n_seg = refine * max(grid.tail_segments,
-                             math.ceil((grid.k_max - tail_start) / seg_len))
+        n_pan = refine * max(8, math.ceil(_TAIL_START * y / math.pi))
+        n_seg = refine * max(_TAIL_SEGMENTS,
+                             math.ceil((_K_MAX - _TAIL_START) / seg_len))
         counts.append((n_pan, n_seg))
-        z_max = max(z_max, y * (tail_start + n_seg * seg_len))
-    return half_w, tail_start, counts, z_max
+        z_max = max(z_max, y * (_TAIL_START + n_seg * seg_len))
+    return counts, z_max
 
 
-def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry,
-              q: SphericalQuadratureSpec | None = None,
-              radial: RadialPVGrid | None = None,
+def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
               refine_tol: float = 1e-4) -> float:
     """Off-shell coefficient by angular reduction + radial PV quadrature.
 
@@ -345,16 +303,12 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry,
     segmentation with iterated averaging (see module docstring).  The value
     is re-computed on a refined grid: twice the pole panels and tail
     segments of the base grid, and the polar rule of the refined extent
-    (at least 2 * q.n_polar nodes).  OracleDivergence is raised if the two
-    runs differ by more than refine_tol * max(|value|, 0.01).  Returns the
+    (at least 128 nodes).  OracleDivergence is raised if the two runs
+    differ by more than refine_tol * max(|value|, 0.01).  Returns the
     base-grid value; the convergence estimate is logged.
     """
-    if q is None:
-        q = SphericalQuadratureSpec()
-    if radial is None:
-        radial = RadialPVGrid()
-    coarse = _f2_single(x, m, g, q, radial)
-    fine = _f2_single(x, m, g, q, radial, refine=2)
+    coarse = _f2_single(x, m, g)
+    fine = _f2_single(x, m, g, refine=2)
     drift = abs(fine - coarse)
     scale = max(abs(fine), 0.01)
     log.debug("f2_oracle x=%g: value=%.12g, refinement drift=%.3e", x, coarse,

@@ -1,4 +1,4 @@
-"""Auxiliary improper integrals and sine/cosine-integral support.
+"""The auxiliary improper integrals I1 and I2 of the level shift.
 
 The level-shift cross terms need the two Laplace-type integrals
 
@@ -22,6 +22,10 @@ error of pi/2 - Si(u).  It holds with a factor of about 2 to spare against
 which the closed form gets by cancellation.  Below
 sqrt(tiny) ~ 1.5e-154 (I1) and tiny ~ 2.2e-308 (I2) the leading 1/u^2 and
 1/u terms leave the float range, and both raise DomainError there.
+
+The two closed forms share one sici and one sin/cos of u (``_aux_parts``).
+:func:`chidip.collective.f2` takes its I1/I2 from the same parts, without
+the domain check: its own floor on n*x keeps u far above both limits.
 
 The independent route, direct adaptive quadrature of the defining integrals
 with the exponential tail truncated at xi_max = max(50/u, 50), is a test
@@ -60,22 +64,23 @@ class AuxIntegralResult:
     est_abs_error: float | np.ndarray
 
 
-def sin_cos_integrals(x: float) -> tuple[float, float]:
-    """Standard sine and cosine integrals (Si(x), Ci(x)) for x > 0.
+def _aux_parts(u):
+    """The terms that I1(u) = 1/u^2 - p1 and I2(u) = 1/u - p2 share, from
+    one sici and one sin/cos: (1/u, p1, p2, |Ci(u)|).
 
-    Si(x) = int_0^x sin(t)/t dt rises monotonically to pi/2 with maximum
-    Si(pi); Ci(x) is negative for small x (log divergence at 0) and decays
-    to 0 as x -> inf.
+    With tail = pi/2 - Si(u), p1 = tail sin u - Ci cos u and
+    p2 = Ci sin u + tail cos u.  No 1/u^2 is formed, so the parts stay
+    finite down to the smallest u of I2.
     """
-    if not (np.isfinite(x) and x > 0.0):
-        raise DomainError(f"Si/Ci require x > 0, got {x}")
-    si, ci = sici(x)
-    return float(si), float(ci)
+    si, ci = sici(u)
+    tail = np.pi / 2 - si
+    su, cu = np.sin(u), np.cos(u)
+    return 1.0 / u, tail * su - ci * cu, ci * su + tail * cu, np.abs(ci)
 
 
-def _aux_terms(u, name, u_min):
+def _checked_parts(u, name, u_min):
     """Check u against the domain of I1 or I2 (u >= u_min, finite) and
-    return (u, 1/u, Si(u), Ci(u))."""
+    return its _aux_parts."""
     u = as_floats(u, DomainError, f"{name} arguments u")
     ok = (u >= u_min) & (u < np.inf)
     if not ok.all():
@@ -84,26 +89,26 @@ def _aux_terms(u, name, u_min):
             raise DomainError(f"{name} overflows for u < {u_min:.3g}, "
                               f"got {bad}")
         raise DomainError(f"{name} diverges for u <= 0, got {bad}")
-    si, ci = sici(u)
-    return u, 1.0 / u, si, ci
+    return _aux_parts(u)
+
+
+def _result(lead, part, abs_ci):
+    """lead - part with its error bound; pi/2 stands in for pi/2 - Si(u),
+    whose absolute error does not shrink with its value."""
+    value = lead - part
+    est = _ERR * (np.abs(value) + lead + abs_ci + np.pi / 2)
+    return AuxIntegralResult(to_output(value), to_output(est))
 
 
 def aux_i1(u) -> AuxIntegralResult:
     """I1(u) via the Si/Ci closed form, with an absolute error bound of
     about 1e-15 (1/u^2 + 3); at large u that exceeds I1 ~ 6/u^4."""
-    u, r, si, ci = _aux_terms(u, "I1", _U_MIN_I1)
-    r2 = r * r
-    value = r2 - (-ci * np.cos(u) + (np.pi / 2 - si) * np.sin(u))
-    # pi/2 stands in for pi/2 - Si(u), whose absolute error does not
-    # shrink with its value
-    est = _ERR * (np.abs(value) + r2 + np.abs(ci) + np.pi / 2)
-    return AuxIntegralResult(to_output(value), to_output(est))
+    r, p1, _, abs_ci = _checked_parts(u, "I1", _U_MIN_I1)
+    return _result(r * r, p1, abs_ci)
 
 
 def aux_i2(u) -> AuxIntegralResult:
     """I2(u) via the Si/Ci closed form, with an absolute error bound of
     about 1e-15 (1/u + 3); at large u that exceeds I2 ~ 2/u^3."""
-    u, r, si, ci = _aux_terms(u, "I2", _U_MIN_I2)
-    value = r - (ci * np.sin(u) + (np.pi / 2 - si) * np.cos(u))
-    est = _ERR * (np.abs(value) + r + np.abs(ci) + np.pi / 2)
-    return AuxIntegralResult(to_output(value), to_output(est))
+    r, _, p2, abs_ci = _checked_parts(u, "I2", _U_MIN_I2)
+    return _result(r, p2, abs_ci)

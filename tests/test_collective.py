@@ -25,10 +25,8 @@ from chidip import (
 from chidip.collective import (
     ROTATION_FULL_DIFFERENCE,
     Y_SERIES,
-    _f1_brackets_direct,
-    _f1_brackets_series,
-    _f2_brackets_direct,
-    _f2_brackets_series,
+    _brackets_direct,
+    _brackets_series,
 )
 
 VACUUM = MediumChirality(1.0, 1.0)
@@ -59,6 +57,17 @@ def test_medium_validation():
     # both indices finite, but their mean overflows
     with pytest.raises(DomainError):
         MediumChirality(1.7e308, 1.7e308)
+    # not a real number: refused as a domain error, not a TypeError
+    for bad in ("3", 1j, None):
+        with pytest.raises(DomainError):
+            MediumChirality(bad, 1.0)
+        with pytest.raises(DomainError):
+            MediumChirality(1.0, bad)
+        with pytest.raises(DomainError):
+            MediumChirality.from_mean_and_rotation(bad, 0.1)
+        with pytest.raises(DomainError):
+            MediumChirality.from_mean_and_rotation(3.0, bad,
+                                                   ROTATION_FULL_DIFFERENCE)
 
 
 def test_medium_derived_quantities():
@@ -138,10 +147,14 @@ def test_dicke_limit_small_x():
 
 def test_series_and_direct_paths_agree_at_switchover():
     y = Y_SERIES
-    for a, b in zip(_f1_brackets_direct(y), _f1_brackets_series(y)):
+    direct, series = _brackets_direct(y, True), _brackets_series(y, True)
+    for a, b in zip(direct[:3], series[:3]):
         assert abs(a - b) < 1e-9
-    for a, b in zip(_f2_brackets_direct(y), _f2_brackets_series(y)):
+    for a, b in zip(direct[3:], series[3:]):
         assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+    # without f2 the same f1 brackets come back
+    assert _brackets_direct(y, False) == direct[:3]
+    assert _brackets_series(y, False) == series[:3]
 
 
 def test_exchange_symmetry():
@@ -186,6 +199,21 @@ def test_a_t_structure():
         v = a_t(x, ACTIVE, g)
         assert v.real == -f1(x, ACTIVE, g)
         assert v.imag == +f2(x, ACTIVE, g)
+    # a_t and collective_spectrum take F1 from the pass they share with F2,
+    # f1 from a pass of its own: bitwise the same values, on both sides of
+    # the series switch of either channel and down to the f2 floor
+    n = np.array([ACTIVE.n_left, ACTIVE.n_right])
+    floor = np.max(1e-100 * np.cbrt(np.maximum(n, 1.0)) / n) * (1 + 1e-12)
+    xs = np.concatenate([[floor], np.logspace(-100, 3, 400),
+                         Y_SERIES / n * (1 + 1e-15), Y_SERIES / n])
+    for _ in range(3):
+        g = _random_invariants(rng)
+        want1, want2 = f1(xs, ACTIVE, g), f2(xs, ACTIVE, g)
+        v = a_t(xs, ACTIVE, g)
+        s = collective_spectrum(xs, ACTIVE, g)
+        for got, want in ((v.real, -want1), (v.imag, want2),
+                          (s.f1, want1), (s.f2, want2)):
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Input contract of the library and the CLI, as hypothesis properties.
 
 For any pair of positive indices (Python floats or numpy scalars, up to
-the float maximum) MediumChirality builds a medium or raises a ChidipError.
+the float maximum) MediumChirality builds a medium or raises a ChidipError,
+and it raises a ChidipError for an index that is not a real number.
 For any such medium and any x, a float or a 1-d array, each public closed
 form returns finite values or raises a ChidipError, and emits no warning.
 A float (or 0-d array) gives Python floats; an array gives arrays whose
@@ -60,10 +61,11 @@ X = st.one_of(
 )
 # index pairs: moderate indices, and the whole positive float line, where
 # MediumChirality refuses what the closed forms cannot keep finite; each
-# index a Python float or a numpy scalar
-INDEX = st.tuples(
+# index a Python float or a numpy scalar, and one time in ten not a number
+REAL_INDEX = st.tuples(
     st.one_of(st.floats(0.1, 10.0), st.floats(5e-324, 1.7976931348623157e308)),
     st.booleans()).map(lambda vb: np.float64(vb[0]) if vb[1] else vb[0])
+INDEX = st.one_of(*[REAL_INDEX] * 9, st.sampled_from(["3", 1j, None]))
 MEDIA = st.tuples(INDEX, INDEX)
 UNIT = st.floats(-1.0, 1.0)
 GEOMETRIES = st.builds(GeometryInvariants, UNIT, UNIT, UNIT)

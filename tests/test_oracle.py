@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chidip import (
-    DomainError,
     MediumChirality,
     OracleDivergence,
     f1,
@@ -18,8 +17,6 @@ from scipy.special import roots_legendre
 
 from chidip.oracle import (
     ModeDyadicSample,
-    RadialPVGrid,
-    SphericalQuadratureSpec,
     _panel_average,
     _projected_dyadic,
     f1_oracle,
@@ -44,26 +41,7 @@ def _random_geometry(rng):
 
 
 # ---------------------------------------------------------------------------
-# specs and the mode dyadic
-
-def test_quadrature_spec_validation():
-    with pytest.raises(DomainError):
-        SphericalQuadratureSpec(7)
-    with pytest.raises(DomainError):
-        SphericalQuadratureSpec(4)
-    assert SphericalQuadratureSpec(16).doubled() == SphericalQuadratureSpec(32)
-
-
-def test_radial_grid_validation():
-    with pytest.raises(DomainError):
-        RadialPVGrid(window=2.5)
-    with pytest.raises(DomainError):
-        RadialPVGrid(pole_gl=2)
-    with pytest.raises(DomainError):
-        RadialPVGrid(tail_segments=4)
-    with pytest.raises(DomainError):
-        RadialPVGrid(k_max=1.5)
-
+# the mode dyadic
 
 def test_mode_dyadic_frame_and_projector():
     rng = np.random.default_rng(17)
@@ -145,13 +123,12 @@ def test_f1_oracle_matches_closed_form_active_isotropic():
 
 
 def test_f1_oracle_refinement_stability():
+    # the 64- and 128-node polar rules agree to 1e-10, or the oracle raises
     rng = np.random.default_rng(19)
     g = _random_geometry(rng)
-    base = SphericalQuadratureSpec(48)
     for x in (0.5, 3.0, 10.0):
         for m in (VACUUM, ACTIVE):
-            assert abs(f1_oracle(x, m, g, base)
-                       - f1_oracle(x, m, g, base.doubled())) < 1e-10
+            f1_oracle(x, m, g, refine_tol=1e-10)
 
 
 def test_f1_oracle_deterministic():
@@ -172,12 +149,12 @@ def test_f1_oracle_helicity_swap_symmetry():
 
 
 def test_f1_oracle_divergence_detected():
-    # an 8-node polar rule cannot resolve the x=10 phase; the internal
-    # node-doubling check must catch it
+    # the 64-node polar rule cannot resolve the phase n*x = 270 of x = 60;
+    # the internal node-doubling check must catch it
     rng = np.random.default_rng(23)
     g = _random_geometry(rng)
     with pytest.raises(OracleDivergence):
-        f1_oracle(10.0, ACTIVE, g, SphericalQuadratureSpec(8))
+        f1_oracle(60.0, ACTIVE, g)
 
 
 # ---------------------------------------------------------------------------

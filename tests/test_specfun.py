@@ -4,15 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
 
-from chidip import DomainError, aux_i1, aux_i2, sin_cos_integrals
+from chidip import DomainError, aux_i1, aux_i2
 from chidip.oracle import aux_i1_quadrature, aux_i2_quadrature
 
 # values frozen from the quadrature oracle (cross-checked with mpmath)
 I1_AT_1 = 0.656622038443573
 I2_AT_1 = 0.378550375764187
-SI_AT_PI = 1.8519370519824661704
 
 
 def test_frozen_values_at_u_equals_1():
@@ -88,8 +86,6 @@ def test_domain_errors():
             aux_i1(bad)
         with pytest.raises(DomainError):
             aux_i2(bad)
-        with pytest.raises(DomainError):
-            sin_cos_integrals(bad)
     # where the leading 1/u^2 (I1) or 1/u (I2) leaves the float range
     for fn, bad in ((aux_i1, 1e-160), (aux_i1, 1e-200), (aux_i2, 1e-320)):
         with warnings.catch_warnings():
@@ -98,28 +94,3 @@ def test_domain_errors():
                 fn(bad)
             with pytest.raises(DomainError, match=repr(bad)):
                 fn(np.array([1.0, bad, 0.5 * bad]))
-
-
-def test_si_gibbs_constant_against_quadrature():
-    si_pi, _ = sin_cos_integrals(np.pi)
-    direct, err = integrate.quad(lambda t: np.sin(t) / t, 0.0, np.pi,
-                                 epsabs=1e-13)
-    assert_allclose(si_pi, direct, atol=max(1e-12, 2 * err))
-    assert_allclose(si_pi, SI_AT_PI, atol=1e-13)
-
-
-def test_si_limits_and_bounds():
-    si_large, _ = sin_cos_integrals(1e6)
-    assert abs(si_large - np.pi / 2) < 2e-6
-    si_pi, _ = sin_cos_integrals(np.pi)
-    # Si is monotone up to pi and overshoots pi/2 there (Gibbs)
-    for x in (0.3, 1.0, 2.0, 10.0, 1e4):
-        si, _ = sin_cos_integrals(x)
-        assert 0.0 < si <= si_pi + 1e-15
-
-
-def test_ci_sign_and_decay():
-    _, ci_small = sin_cos_integrals(0.1)
-    assert ci_small < 0.0
-    _, ci_large = sin_cos_integrals(1e6)
-    assert abs(ci_large) < 1e-5
