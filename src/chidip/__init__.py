@@ -12,7 +12,6 @@ deliberately not re-exported here.
 
 from .collective import (
     CollectiveSpectrum,
-    ComplexRateCoefficients,
     LambCutoff,
     MediumChirality,
     a_l_damping,
@@ -21,7 +20,6 @@ from .collective import (
     f1,
     f2,
     lamb_shift,
-    rate_coefficients,
 )
 from .dynamics import (
     AmplitudeTrajectory,
@@ -52,7 +50,6 @@ __all__ = [
     "AuxIntegralResult",
     "ChidipError",
     "CollectiveSpectrum",
-    "ComplexRateCoefficients",
     "DipoleGeometry",
     "DomainError",
     "GeometryInvariants",
@@ -75,6 +72,5 @@ __all__ = [
     "interaction_energy_at",
     "lamb_shift",
     "normalize_geometry",
-    "rate_coefficients",
     "__version__",
 ]

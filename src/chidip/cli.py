@@ -19,6 +19,7 @@ The medium defaults to vacuum; it can be given either as the explicit pair
 --rotation (specific rotation divided by the wave vector, applied with the
 half-difference convention; see MediumChirality.from_mean_and_rotation).
 
+Flags take their full names, as --flag VALUE (also -1e-3) or --flag=VALUE.
 A flat key=value config file (--config) supplies defaults for any flag
 (keys are flag names with '-' replaced by '_'); explicit flags win.
 Output is byte-identical across repeated runs with identical inputs.
@@ -26,11 +27,11 @@ Output is byte-identical across repeated runs with identical inputs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,7 +64,6 @@ _DEFAULT_TIME_GRID = "0:5:200"
 
 @dataclass(frozen=True)
 class SweepRequest:
-    scenario: str
     d1: tuple
     d2: tuple
     axis: tuple
@@ -88,7 +88,7 @@ def run_sweep(req: SweepRequest) -> dict[str, np.ndarray]:
     cutoff = LambCutoff(req.lamb_cutoff) if req.lamb_cutoff is not None else None
     x = np.linspace(req.x_start, req.x_stop, req.n_points)
     spec = collective.collective_spectrum(x, req.medium, g, cutoff)
-    a_l = complex(collective.a_l_damping(req.medium), 0.0)
+    a_l = collective.a_l_damping(req.medium)
     columns = {
         "x": x,
         "gamma_s": 2.0 * spec.gamma_plus,
@@ -170,31 +170,25 @@ def _read_config(path, allowed):
 
 
 def _parse_flags(command, tokens):
-    """Parse a subcommand's flags, then fill the unset ones from --config."""
-    parser = argparse.ArgumentParser(prog=f"chidip {command}", add_help=False)
+    """Parse a subcommand's flags into a namespace (None where unset; the
+    last of a repeated flag wins), then fill the unset ones from --config."""
     flags = [f for f, commands in _FLAGS.items() if command in commands]
     keys = {flag[2:].replace("-", "_") for flag in flags}
-    flags.append("--config")
-    for flag in flags:
-        parser.add_argument(flag)
-    # argparse reads a value such as -1e-3 as a flag; a token after a flag
-    # that starts with a single '-' is glued to that flag as its value
-    glued = []
-    for tok in tokens:
-        if (glued and glued[-1] in flags and tok.startswith("-")
-                and not tok.startswith("--")):
-            glued[-1] += "=" + tok
-        else:
-            glued.append(tok)
-    try:
-        args = parser.parse_args(glued)
-    except SystemExit:
-        raise UsageError(f"unrecognized {command} arguments") from None
-    if args.config is not None:
-        for key, value in _read_config(args.config, keys).items():
-            if getattr(args, key) is None:
-                setattr(args, key, value)
-    return args
+    args = dict.fromkeys([*keys, "config"])
+    rest = iter(tokens)
+    for tok in rest:
+        flag, eq, value = tok.partition("=")
+        if flag not in flags and flag != "--config":
+            raise UsageError(f"unrecognized argument {tok!r}")
+        value = value if eq else next(rest, None)
+        if value is None:
+            raise UsageError(f"{flag} expects a value")
+        args[flag[2:].replace("-", "_")] = value
+    if args["config"] is not None:
+        for key, value in _read_config(args["config"], keys).items():
+            if args[key] is None:
+                args[key] = value
+    return SimpleNamespace(**args)
 
 
 def _resolve_medium(args) -> MediumChirality:
@@ -273,7 +267,7 @@ def parse_config(tokens) -> SweepRequest:
     cutoff = (_parse_float(args.lamb_cutoff, "--lamb-cutoff")
               if args.lamb_cutoff is not None else None)
     return SweepRequest(
-        scenario=args.scenario, d1=d1, d2=d2, axis=axis, medium=medium,
+        d1=d1, d2=d2, axis=axis, medium=medium,
         x_start=x_start, x_stop=x_stop, n_points=n_points,
         time_sample=time_sample, output_format=_resolve_format(args),
         lamb_cutoff=cutoff)
@@ -324,7 +318,7 @@ def _cmd_dynamics(tokens, out) -> int:
     fmt = _resolve_format(args)
 
     g = geometry_factors(normalize_geometry(d1, d2, axis, x))
-    a_l = complex(collective.a_l_damping(medium), 0.0)
+    a_l = collective.a_l_damping(medium)
     a_t = collective.a_t(x, medium, g)
     traj = dynamics.evolve(a_l, a_t, np.linspace(t0, t1, nt))
     _emit_table({"t": traj.times, "p1": traj.p1, "p2": traj.p2,

@@ -57,8 +57,10 @@ Y_SERIES = 0.05
 # the float range
 _Y_MIN_F2 = 1e-100
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 # y = n*x stays below half the float range
-_Y_MAX = 0.5 * float(np.finfo(float).max)
+_Y_MAX = 0.5 * _FLOAT_MAX
 
 # largest refractive index: the closed forms, the Lamb shift and the CLI
 # multiply an index by bounded factors below 1e3, so every output stays
@@ -67,10 +69,6 @@ _N_MAX = 1e300
 
 # helicity s of the two channels, in the order (n_left, n_right)
 _HELICITY = np.array([1.0, -1.0])
-
-# conventions for mapping (mean index, specific rotation / k) -> (n_L, n_R)
-ROTATION_HALF_DIFFERENCE = "half-difference"   # rho = (n_L - n_R)/2
-ROTATION_FULL_DIFFERENCE = "difference"        # rho =  n_L - n_R
 
 
 @dataclass(frozen=True)
@@ -94,58 +92,41 @@ class MediumChirality:
         return 0.5 * (self.n_left + self.n_right)
 
     @property
-    def delta_n(self) -> float:
-        return self.n_left - self.n_right
-
-    @property
     def channels(self):
         """(helicity, index) pairs; s = +1 is bound to n_left, -1 to n_right."""
         return ((+1.0, self.n_left), (-1.0, self.n_right))
 
     @classmethod
-    def from_mean_and_rotation(cls, n_bar: float, rotation: float,
-                               convention: str = ROTATION_HALF_DIFFERENCE):
+    def from_mean_and_rotation(cls, n_bar: float, rotation: float):
         """Build a medium from the mean index and the specific rotation
-        divided by the wave vector.
-
-        Two readings of the rotation parameter are supported:
-        ``"half-difference"`` (rho = (n_L - n_R)/2, the default) and
-        ``"difference"`` (rho = n_L - n_R).  See the README for why the
-        half-difference convention is the default.
+        divided by the wave vector, read as half the index difference:
+        (n_left, n_right) = (n_bar + rotation, n_bar - rotation).  For the
+        other reading, rotation = n_left - n_right, pass rotation / 2; the
+        README explains why the half-difference reading is the one used.
         """
         if not all(isinstance(v, numbers.Real) for v in (n_bar, rotation)):
             raise DomainError(f"non-real n_bar or rotation: {n_bar!r}, {rotation!r}")
-        if convention == ROTATION_HALF_DIFFERENCE:
-            half = rotation
-        elif convention == ROTATION_FULL_DIFFERENCE:
-            half = 0.5 * rotation
-        else:
-            raise DomainError(f"unknown rotation convention {convention!r}")
-        return cls(n_bar + half, n_bar - half)
+        try:        # an int, or a sum of numpy scalars, beyond the float range
+            with np.errstate(over="raise"):
+                return cls(n_bar + rotation, n_bar - rotation)
+        except (OverflowError, FloatingPointError):
+            raise DomainError(f"n_bar or rotation beyond the float range: "
+                              f"{n_bar!r}, {rotation!r}") from None
 
 
 @dataclass(frozen=True)
 class LambCutoff:
-    """Dimensionless renormalization cutoff Lambda = m_e c / (hbar k0)."""
+    """Dimensionless renormalization cutoff Lambda = m_e c / (hbar k0),
+    stored as a Python float in (1, float max]."""
 
     lambda_cutoff: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda_cutoff) and self.lambda_cutoff > 1.0):
-            raise DomainError(
-                f"lambda_cutoff must be > 1, got {self.lambda_cutoff}")
-
-
-@dataclass(frozen=True)
-class ComplexRateCoefficients:
-    """Single-dipole (a_l) and exchange (a_t) coefficients in Gamma0 units.
-
-    Real parts damp, imaginary parts shift; Im(a_l) holds the renormalized
-    finite shift, never the bare divergent integral.
-    """
-
-    a_l: complex
-    a_t: complex
+        v = self.lambda_cutoff
+        if not (isinstance(v, numbers.Real) and 1.0 < v <= _FLOAT_MAX):
+            raise DomainError(f"lambda_cutoff must be a finite real > 1, "
+                              f"got {v!r}")
+        object.__setattr__(self, "lambda_cutoff", float(v))
 
 
 @dataclass(frozen=True)
@@ -314,15 +295,6 @@ def lamb_shift(m: MediumChirality, cutoff: LambCutoff) -> float:
     """Cutoff-renormalized single-dipole shift n_bar*ln(Lambda)/(2 pi),
     position independent, in Gamma0 units."""
     return m.n_bar * math.log(cutoff.lambda_cutoff) / (2 * math.pi)
-
-
-def rate_coefficients(x, m: MediumChirality, g: GeometryInvariants,
-                      cutoff: LambCutoff | None = None) -> ComplexRateCoefficients:
-    """Assemble (a_l, a_t); Im(a_l) is the renormalized shift (0 without a
-    cutoff, where only population dynamics are meaningful)."""
-    shift = lamb_shift(m, cutoff) if cutoff is not None else 0.0
-    return ComplexRateCoefficients(complex(a_l_damping(m), shift),
-                                   a_t(x, m, g))
 
 
 def collective_spectrum(x, m: MediumChirality, g: GeometryInvariants,

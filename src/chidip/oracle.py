@@ -19,8 +19,7 @@ averaged over phi (exact on a small uniform grid, since it is quadratic in
 k_hat) and the mu integral is done by Gauss-Legendre
 (``scipy.special.roots_legendre``).  The on-shell part (f1) evaluates that
 average at |k| = n_lambda k0; the off-shell part (f2) additionally performs
-the radial principal-value integral over the mode frequency, including the
-non-resonant branch.
+the radial principal-value integral over the mode frequency.
 
 Both oracles also share one phase kernel.  Every radial grid is made of
 equal-width Gauss-Legendre panels (f1 is a single panel of zero width at
@@ -44,12 +43,14 @@ and the axis pointing from dipole 2 to dipole 1, the propagation phase
 must carry +i for the helicity term to land on the same sign as the
 closed form.
 
-The radial integral for f2 is genuinely improper: its integrand grows ~k
-with undamped oscillation and is only Abel summable.  A fixed truncation
-can therefore never converge; instead the pole window is integrated by
-symmetric-grid subtraction (exact PV fold), and beyond the window the tail
-is accumulated in half-period segments that are then contracted by iterated
-pairwise averaging (Euler/Cesaro acceleration of an alternating series).
+The radial integrand of f2, h(k) (1/(k-1) + 1/(k+1)) with its resonant
+and non-resonant branch, is q(k)/(k-1) with q(k) = h(k) 2k/(k+1), one
+integrand on every grid.  It grows ~k with undamped oscillation and is
+only Abel summable, so a fixed truncation can never converge; instead the
+pole window is integrated by symmetric-grid subtraction (exact PV fold of
+q), and beyond the window the tail is accumulated in half-period segments
+that are then contracted by iterated pairwise averaging (Euler/Cesaro
+acceleration of an alternating series).
 The pole window is [0, 2] (k/k0), integrated on panels of 16
 Gauss-Legendre points; the tail starts at 2 and has at least 48 segments
 of 10 points, and always reaches at least k/k0 = 50 before acceleration.
@@ -73,7 +74,6 @@ closed forms in :mod:`chidip.collective`, which are ~10^3 x faster.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -85,8 +85,6 @@ from .collective import MediumChirality
 from .errors import DomainError, OracleDivergence
 from .geometry import DipoleGeometry
 from .specfun import AuxIntegralResult
-
-log = logging.getLogger(__name__)
 
 _PANEL_BLOCK = 128      # panels per phase-matrix block (memory cap)
 _N_AZIMUTHAL = 16       # phi nodes; exact for the quadratic dyadic (>= 6)
@@ -252,30 +250,27 @@ def _f2_single(x, m, g, refine=1):
         y = n * x
         weight = 3.0 * n / 8.0
 
-        def h(mids, half, nodes):
+        # q(k) = h(k) 2k/(k+1), h(k) = weight k^3 times the angular average
+        def q(mids, half, nodes):
             kt = mids[:, None] + half * nodes
-            return weight * kt**3 * _panel_average(y, mids, half, nodes, mu,
-                                                   weighted[s])
+            return (weight * 2.0 * kt**4 / (kt + 1.0)
+                    * _panel_average(y, mids, half, nodes, mu, weighted[s]))
 
         fold_mid, fold_half = _panels(0.0, _HALF_WINDOW, n_pan)
         u = fold_mid[:, None] + fold_half * _POLE_X
-        fold = h(1.0 + fold_mid, fold_half, _POLE_X) \
-            - h(1.0 - fold_mid, -fold_half, _POLE_X)
+        fold = q(1.0 + fold_mid, fold_half, _POLE_X) \
+            - q(1.0 - fold_mid, -fold_half, _POLE_X)
         pv = float((fold_half * _POLE_W * fold / u).sum())
-        near_mid, near_half = _panels(0.0, _TAIL_START, n_pan)
-        k = near_mid[:, None] + near_half * _POLE_X
-        nonres = float((near_half * _POLE_W * h(near_mid, near_half, _POLE_X)
-                        / (k + 1.0)).sum())
         seg_len = math.pi / y
         tail_mid, tail_half = _panels(_TAIL_START,
                                       _TAIL_START + n_seg * seg_len, n_seg)
         k = tail_mid[:, None] + tail_half * _TAIL_X
-        seg_vals = (tail_half * _TAIL_W * h(tail_mid, tail_half, _TAIL_X)
-                    * (1.0 / (k - 1.0) + 1.0 / (k + 1.0)))
+        seg_vals = (tail_half * _TAIL_W * q(tail_mid, tail_half, _TAIL_X)
+                    / (k - 1.0))
         partial = np.cumsum(seg_vals.sum(axis=1))
         while partial.size > 1:
             partial = 0.5 * (partial[:-1] + partial[1:])
-        total += (pv + nonres + float(partial[0])) / math.pi
+        total += (pv + float(partial[0])) / math.pi
     return total
 
 
@@ -298,21 +293,18 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
               refine_tol: float = 1e-4) -> float:
     """Off-shell coefficient by angular reduction + radial PV quadrature.
 
-    The pole window is integrated by symmetric-grid subtraction, the
-    non-resonant branch directly, and the oscillatory tail by half-period
-    segmentation with iterated averaging (see module docstring).  The value
-    is re-computed on a refined grid: twice the pole panels and tail
-    segments of the base grid, and the polar rule of the refined extent
-    (at least 128 nodes).  OracleDivergence is raised if the two runs
-    differ by more than refine_tol * max(|value|, 0.01).  Returns the
-    base-grid value; the convergence estimate is logged.
+    The pole window is integrated by symmetric-grid subtraction and the
+    oscillatory tail by half-period segmentation with iterated averaging
+    (see module docstring).  The value is re-computed on a refined grid:
+    twice the pole panels and tail segments of the base grid, and the polar
+    rule of the refined extent (at least 128 nodes).  OracleDivergence is
+    raised if the two runs differ by more than
+    refine_tol * max(|value|, 0.01).  Returns the base-grid value.
     """
     coarse = _f2_single(x, m, g)
     fine = _f2_single(x, m, g, refine=2)
     drift = abs(fine - coarse)
     scale = max(abs(fine), 0.01)
-    log.debug("f2_oracle x=%g: value=%.12g, refinement drift=%.3e", x, coarse,
-              drift)
     if drift > refine_tol * scale:
         raise OracleDivergence(
             f"f2 radial/angular refinement drift {drift:.3e} exceeds "

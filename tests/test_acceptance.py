@@ -42,15 +42,14 @@ from chidip import (
     normalize_geometry,
 )
 from chidip.cli import parse_config, run_sweep
-from chidip.collective import ROTATION_FULL_DIFFERENCE
 from chidip.oracle import (aux_i1_quadrature, aux_i2_quadrature, f1_oracle,
                            f2_oracle)
 
 VACUUM = MediumChirality(1.0, 1.0)
 INACTIVE3 = MediumChirality(3.0, 3.0)
 ACTIVE_DEFAULT = MediumChirality.from_mean_and_rotation(3.0, -1.5)
-ACTIVE_ALT = MediumChirality.from_mean_and_rotation(3.0, -1.5,
-                                                    ROTATION_FULL_DIFFERENCE)
+# the other reading of the rotation, n_left - n_right = -1.5
+ACTIVE_ALT = MediumChirality.from_mean_and_rotation(3.0, -1.5 / 2)
 
 SYNTROPIC = normalize_geometry((1, 0, 0), (1, 0, 0), (0, 0, 1), 1.0)
 ORTH = normalize_geometry((1, 0, 0), (0, 1, 0), (0, 0, 1), 1.0)

@@ -155,6 +155,20 @@ def test_rotation_flag_equals_explicit_pair(capsys):
     assert outs[0] == outs[1]
 
 
+def test_flags_take_full_names_and_inline_values(capsys):
+    # an abbreviated flag is not a flag; the usage error names it
+    code, out, err = run_cli(capsys, "sweep", "--scen", "isotropic")
+    assert code == 2 and out == ""
+    assert err == "chidip sweep: unrecognized argument '--scen'\n"
+    # --flag=VALUE is the same as --flag VALUE
+    base = ("sweep", "--scenario", "isotropic")
+    code, out_inline, _ = run_cli(capsys, *base, "--x=1:2:3")
+    assert code == 0
+    code, out_split, _ = run_cli(capsys, *base, "--x", "1:2:3")
+    assert code == 0
+    assert out_inline == out_split
+
+
 # ---------------------------------------------------------------------------
 # request parsing and config files
 

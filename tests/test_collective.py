@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,8 @@ from chidip import (
     geometry_factors,
     lamb_shift,
     normalize_geometry,
-    rate_coefficients,
 )
 from chidip.collective import (
-    ROTATION_FULL_DIFFERENCE,
     Y_SERIES,
     _brackets_direct,
     _brackets_series,
@@ -66,14 +65,18 @@ def test_medium_validation():
         with pytest.raises(DomainError):
             MediumChirality.from_mean_and_rotation(bad, 0.1)
         with pytest.raises(DomainError):
-            MediumChirality.from_mean_and_rotation(3.0, bad,
-                                                   ROTATION_FULL_DIFFERENCE)
+            MediumChirality.from_mean_and_rotation(3.0, bad)
+    # beyond the float range: a domain error, not an OverflowError or a
+    # numpy overflow warning
+    for n_bar, rotation in ((10**400, 0.5), (np.float64(1e308), 1e308),
+                            (1e308, np.float64(-1e308))):
+        with pytest.raises(DomainError):
+            MediumChirality.from_mean_and_rotation(n_bar, rotation)
 
 
 def test_medium_derived_quantities():
     m = MediumChirality(1.5, 4.5)
     assert m.n_bar == 3.0
-    assert m.delta_n == -3.0
     # helicity +1 is permanently bound to n_left
     assert m.channels == ((+1.0, 1.5), (-1.0, 4.5))
 
@@ -81,11 +84,9 @@ def test_medium_derived_quantities():
 def test_rotation_constructor_conventions():
     half = MediumChirality.from_mean_and_rotation(3.0, -1.5)
     assert (half.n_left, half.n_right) == (1.5, 4.5)
-    full = MediumChirality.from_mean_and_rotation(3.0, -1.5,
-                                                  ROTATION_FULL_DIFFERENCE)
+    # the other reading, rotation = n_left - n_right, is rotation / 2 here
+    full = MediumChirality.from_mean_and_rotation(3.0, -1.5 / 2)
     assert (full.n_left, full.n_right) == (2.25, 3.75)
-    with pytest.raises(DomainError):
-        MediumChirality.from_mean_and_rotation(3.0, -1.5, "sideways")
     with pytest.raises(DomainError):
         MediumChirality.from_mean_and_rotation(1.0, 1.5)  # n_right <= 0
 
@@ -155,6 +156,79 @@ def test_series_and_direct_paths_agree_at_switchover():
     # without f2 the same f1 brackets come back
     assert _brackets_direct(y, False) == direct[:3]
     assert _brackets_series(y, False) == series[:3]
+
+
+def _reference_channel(y, a, b, c, s):
+    """One channel's brackets of F1 and F2 at the double y, per unit 3n/8,
+    at the working precision, with I1/I2 from mpmath Si/Ci; and the error
+    scale of each: on the trig side the sum of |every term| before it
+    cancels (the aux term's too), on the series side |a b1| + |b b2| +
+    |c b3| (d1, d2, d3 + aux for F2)."""
+    small = y < Y_SERIES
+    y = mpmath.mpf(y)
+    sy, cy = mpmath.sin(y), mpmath.cos(y)
+    tail, ci = mpmath.pi / 2 - mpmath.si(y), mpmath.ci(y)
+    p1, p2 = tail * sy - ci * cy, ci * sy + tail * cy
+    aux = (2 / mpmath.pi) * ((1 / y**2 - p1) / y + (1 / y - p2) / y**2)
+    b1 = sy / y + cy / y**2 - sy / y**3
+    b2 = sy / y + 3 * cy / y**2 - 3 * sy / y**3
+    b3 = cy / y - sy / y**2
+    d1 = cy / y - sy / y**2 - cy / y**3
+    d2 = cy / y - 3 * sy / y**2 - 3 * cy / y**3
+    d3 = sy / y + cy / y**2
+    f1v, f2v = a * b1 - b * b2 + s * c * b3, a * d1 - b * d2 - s * c * (d3 + aux)
+    if small:
+        return (f1v, f2v, abs(a * b1) + abs(b * b2) + abs(c * b3),
+                abs(a * d1) + abs(b * d2) + abs(c * (d3 + aux)))
+    S, C = abs(sy), abs(cy)
+    aux_terms = (2 / mpmath.pi) * (2 / y**3 + (abs(tail * sy) + abs(ci * cy)) / y
+                                   + (abs(ci * sy) + abs(tail * cy)) / y**2)
+    return (f1v, f2v,
+            abs(a) * (S / y + C / y**2 + S / y**3)
+            + abs(b) * (S / y + 3 * C / y**2 + 3 * S / y**3)
+            + abs(c) * (C / y + S / y**2),
+            abs(a) * (C / y + S / y**2 + C / y**3)
+            + abs(b) * (C / y + 3 * S / y**2 + 3 * C / y**3)
+            + abs(c) * (S / y + C / y**2 + aux_terms))
+
+
+def _errors_in_eps(x, m, g):
+    """|f1 - reference| and |f2 - reference| in units of eps times their
+    error scale, the reference at y = fl(n x) as the closed forms form it."""
+    ref = [mpmath.mpf(0)] * 4
+    abc = [mpmath.mpf(v) for v in (g.a, g.b, g.c)]
+    for s, n in m.channels:
+        w = 3 * mpmath.mpf(n) / 8
+        ref = [r + w * v for r, v in zip(ref, _reference_channel(n * x, *abc, s))]
+    eps = np.finfo(float).eps
+    return (float(abs(f1(x, m, g) - ref[0]) / ref[2]) / eps,
+            float(abs(f2(x, m, g) - ref[1]) / ref[3]) / eps)
+
+
+def test_f1_f2_match_mpmath_reference():
+    # measured worst: 6.1 eps (f1, both channels on the series side) and
+    # 1.5 eps (f2) here, and 4.6 and 2.4 eps over 16 other seeds of 700
+    # samples; k is twice that, the bound README "Numerical notes" states
+    k = 12.0
+    rng = np.random.default_rng(31)
+    cases = []
+    for i in range(700):
+        m = MediumChirality(*map(float, rng.uniform(0.2, 5.0, size=2)))
+        g = GeometryInvariants(*map(float, rng.uniform(-1.0, 1.0, size=3)))
+        if i < 300:         # both channels on the series side
+            x = 10 ** rng.uniform(-4, math.log10(Y_SERIES)) / max(
+                m.n_left, m.n_right)
+        elif i % 4 == 0:    # at the switch
+            x = Y_SERIES * 10 ** rng.uniform(-0.3, 0.3) / m.n_left
+        else:
+            x = 10 ** rng.uniform(-4, 3) / m.n_left
+        cases.append((float(x), m, g))
+    # isotropic preset in vacuum: a d1 - b d2 cancels a millionfold
+    iso = GeometryInvariants(1.0, 1.0 / 3.0, 0.0)
+    cases += [(float(x), VACUUM, iso) for x in np.linspace(0.0013, 0.0017, 21)]
+    with mpmath.workdps(50):
+        worst = np.max([_errors_in_eps(*case) for case in cases], axis=0)
+    assert worst[0] <= k and worst[1] <= k, worst
 
 
 def test_exchange_symmetry():
@@ -236,9 +310,17 @@ def test_lamb_shift_values():
 
 
 def test_lamb_cutoff_validation():
-    for bad in (1.0, 0.5, -3.0, float("nan")):
+    # not a real number, or beyond the float range: a domain error, not a
+    # TypeError or an OverflowError
+    for bad in (1.0, 0.5, -3.0, float("nan"), float("inf"), "3", None, 1j,
+                10**400):
         with pytest.raises(DomainError):
             LambCutoff(bad)
+    # stored as a Python float, like the indices of MediumChirality
+    for good in (100, np.float64(1e5), 1.7e308):
+        cut = LambCutoff(good)
+        assert type(cut.lambda_cutoff) is float
+        assert cut.lambda_cutoff == good
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +358,3 @@ def test_superradiant_and_subradiant_limits():
     assert abs(s.gamma_plus - VACUUM.n_bar) < 1e-6
     assert abs(s.gamma_minus) < 1e-6
 
-
-def test_rate_coefficients_assembly():
-    cut = LambCutoff(1e5)
-    rc = rate_coefficients(2.0, ACTIVE, ORTH, cut)
-    assert rc.a_l.real == -1.5
-    assert rc.a_l.imag == lamb_shift(ACTIVE, cut)
-    assert rc.a_t == a_t(2.0, ACTIVE, ORTH)
-    bare = rate_coefficients(2.0, ACTIVE, ORTH)
-    assert bare.a_l == complex(-1.5, 0.0)

@@ -8,8 +8,9 @@ form returns finite values or raises a ChidipError, and emits no warning.
 A float (or 0-d array) gives Python floats; an array gives arrays whose
 elements equal the element-wise float calls.  The dynamics (evolve,
 interaction_energy_at) keep the same contract for any rates and times.  A
-CLI run exits 0, 1 or 2 without a traceback or a warning, and on exit 0
-prints only finite rows and nothing on stderr.
+CLI run exits 0, 1 or 2 without a traceback or a warning, on exit 0
+prints only finite rows and nothing on stderr, and on exit 2 prints one
+stderr line naming the command.
 """
 
 import contextlib
@@ -252,6 +253,9 @@ NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
           "--n-right", "1.7e308"])
 @example(["sweep", "--scenario", "isotropic", "--n-bar", "8e307",
           "--x", "1e-300:2e-300:2"])
+@example(["sweep", "--scenario"])
+@example(["sweep", "--scen", "isotropic"])
+@example(["sweep", "--scenario", "isotropic", "--x=1:2:3"])
 def test_cli_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
@@ -265,3 +269,8 @@ def test_cli_exits_cleanly(argv):
         assert not NON_FINITE.search(out.getvalue())
     else:
         assert out.getvalue() == ""
+    if code == 2:
+        # one line that names the command and the problem
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n")
+        assert lines[0].startswith(f"chidip {argv[0]}:")
