@@ -19,7 +19,8 @@ The medium defaults to vacuum; it can be given either as the explicit pair
 --rotation (specific rotation divided by the wave vector, applied with the
 half-difference convention; see MediumChirality.from_mean_and_rotation).
 
-Flags take their full names, as --flag VALUE (also -1e-3) or --flag=VALUE.
+Flags take their full names, as --flag VALUE (also -1e-3, but never a token
+starting with --) or --flag=VALUE.
 A flat key=value config file (--config) supplies defaults for any flag
 (keys are flag names with '-' replaced by '_'); explicit flags win.
 Output is byte-identical across repeated runs with identical inputs.
@@ -27,7 +28,6 @@ Output is byte-identical across repeated runs with identical inputs.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -171,7 +171,9 @@ def _read_config(path, allowed):
 
 def _parse_flags(command, tokens):
     """Parse a subcommand's flags into a namespace (None where unset; the
-    last of a repeated flag wins), then fill the unset ones from --config."""
+    last of a repeated flag wins), then fill the unset ones from --config.
+    The token after a flag is its value unless it starts with '--';
+    --flag=VALUE takes any VALUE."""
     flags = [f for f, commands in _FLAGS.items() if command in commands]
     keys = {flag[2:].replace("-", "_") for flag in flags}
     args = dict.fromkeys([*keys, "config"])
@@ -181,7 +183,7 @@ def _parse_flags(command, tokens):
         if flag not in flags and flag != "--config":
             raise UsageError(f"unrecognized argument {tok!r}")
         value = value if eq else next(rest, None)
-        if value is None:
+        if value is None or (not eq and value.startswith("--")):
             raise UsageError(f"{flag} expects a value")
         args[flag[2:].replace("-", "_")] = value
     if args["config"] is not None:
@@ -276,24 +278,32 @@ def parse_config(tokens) -> SweepRequest:
 # ---------------------------------------------------------------------------
 # output
 
-def _fmt(v: float) -> str:
-    # + 0.0 folds negative zero; .15g keeps >= 12 significant digits and is
-    # locale independent
-    return format(float(v) + 0.0, ".15g")
-
-
 def _emit_table(columns, fmt, out):
-    """Write named columns of equal length as CSV or JSON rows."""
+    """Write named columns of equal length, at least one row, as CSV or JSON.
+
+    One row template per table, applied to every row with %: CSV rows are
+    "%.15g" per value (>= 12 significant digits, locale independent) with
+    -0.0 folded to 0; JSON is an indented list of one object per row with
+    each value's shortest round-trip repr, byte-identical to
+    json.dumps(rows, indent=2) plus a newline.  Column names are plain
+    identifiers, written as they are.  The values are finite on every exit-0
+    path; a non-finite one would be spelled nan/inf in both formats, not
+    JSON's NaN/Infinity.
+    """
     header = list(columns)
-    rows = zip(*(np.asarray(c, dtype=float).tolist()
-                 for c in columns.values()))
+    values = [np.asarray(c, dtype=float) for c in columns.values()]
     if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(map(_fmt, row)) + "\n")
+        head, sep, tail = ",".join(header) + "\n", "\n", "\n"
+        tmpl = ",".join(["%.15g"] * len(header))
+        values = [v + 0.0 for v in values]
     else:
-        payload = [dict(zip(header, row)) for row in rows]
-        out.write(json.dumps(payload, indent=2) + "\n")
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+        tmpl = "  {\n" + ",\n".join(f'    "{name}": %r'
+                                    for name in header) + "\n  }"
+    rows = zip(*(v.tolist() for v in values))
+    out.write(head)
+    out.write(sep.join(map(tmpl.__mod__, rows)))
+    out.write(tail)
 
 
 def _cmd_sweep(tokens, out) -> int:

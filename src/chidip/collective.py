@@ -201,14 +201,15 @@ def _brackets_series(y, with_f2):
 
 def _brackets(y, with_f2):
     """f1's brackets (b1, b2, b3), then f2's (d1, d2, d3) if with_f2: the
-    series below Y_SERIES, the trig forms (one sin/cos) elsewhere; Y_SERIES
-    stands in for the other side's arguments, so neither form overflows."""
-    lo = _brackets_series(np.minimum(y, Y_SERIES), with_f2)
-    hi = _brackets_direct(np.maximum(y, Y_SERIES), with_f2)
+    series below Y_SERIES, the trig forms (one sin/cos) elsewhere.  The trig
+    forms run on every element, with Y_SERIES standing in for the small y
+    (1/y^3 would overflow there); the series run on the small y alone."""
+    brackets = _brackets_direct(np.maximum(y, Y_SERIES), with_f2)
     small = y < Y_SERIES
-    for a, b in zip(lo, hi):
-        np.copyto(b, a, where=small)
-    return hi
+    if small.any():
+        for b, s in zip(brackets, _brackets_series(y[small], with_f2)):
+            b[small] = s
+    return brackets
 
 
 def _channels(x, m):

@@ -1,8 +1,13 @@
+import io
 import json
 import math
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chidip import GeometryInvariants, a_l_damping, evolve, f1
-from chidip.cli import SweepRequest, main, parse_config, run_sweep
+from chidip.cli import SweepRequest, _emit_table, main, parse_config, run_sweep
 from chidip.collective import MediumChirality
 
 BASE_HEADER = "x,gamma_s,gamma_as,delta,f1,f2,e_int"
@@ -167,6 +172,15 @@ def test_flags_take_full_names_and_inline_values(capsys):
     code, out_split, _ = run_cli(capsys, *base, "--x", "1:2:3")
     assert code == 0
     assert out_inline == out_split
+    # a token that starts with '--' is the next flag, never a value: the
+    # error names the flag that lacks its value
+    code, out, err = run_cli(capsys, "sweep", "--scenario", "--x", "1:2:3")
+    assert code == 2 and out == ""
+    assert err == "chidip sweep: --scenario expects a value\n"
+    code, out, err = run_cli(capsys, "lamb", "--n-bar", "-1",
+                             "--lamb-cutoff", "--format")
+    assert code == 2 and out == ""
+    assert err == "chidip lamb: --lamb-cutoff expects a value\n"
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +372,57 @@ def test_number_formatting_keeps_12_significant_digits(capsys):
     want = f1(1.0, MediumChirality(1.0, 1.0),
               GeometryInvariants(1.0, 0.0, 0.0))
     assert math.isclose(rows[0]["f1"], want, rel_tol=1e-12)
+
+
+def _emit_reference(columns, fmt):
+    """The emitter before the row template: one format() per CSV value,
+    json.dumps over one dict per row."""
+    header = list(columns)
+    rows = zip(*(np.asarray(c, dtype=float).tolist()
+                 for c in columns.values()))
+    if fmt == "csv":
+        return "".join([",".join(header) + "\n"] + [
+            ",".join(format(v + 0.0, ".15g") for v in row) + "\n"
+            for row in rows])
+    return json.dumps([dict(zip(header, row)) for row in rows],
+                      indent=2) + "\n"
+
+
+# finite floats, with weight where the spelling changes: signed zero,
+# subnormals, the float max, integers from 1e15 on, and both sides of the
+# .15g switch to exponent form at 1e-4 and 1e15
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+    st.floats(9.99e-5, 1.001e-4), st.floats(9.99e14, 1.001e15),
+    st.integers(10**15, 2**60).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     1e16, 9.999999999999999e-05, 999999999999999.9]),
+)
+NAMES = ("x", "gamma_s", "gamma_as", "delta", "f1", "f2", "e_int",
+         "delta_plus", "delta_minus", "t")
+
+
+def _table(ncols, nrows, pool, seed):
+    """ncols named columns of nrows values picked from pool."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(len(pool), size=(ncols, nrows))
+    return {name: np.array(pool)[p] for name, p in zip(NAMES, picks)}
+
+
+TABLES = st.builds(_table, st.integers(1, 10), st.integers(1, 300),
+                   st.lists(VALUES, min_size=1, max_size=40),
+                   st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(TABLES)
+def test_emit_table_matches_reference_emitter(columns):
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        _emit_table(columns, fmt, out)
+        assert out.getvalue() == _emit_reference(columns, fmt), fmt
 
 
 def test_output_is_deterministic(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial.transform import Rotation
 
 from chidip import (
     DomainError,
@@ -15,6 +16,8 @@ from chidip import (
     MediumChirality,
     a_l_damping,
     a_t,
+    aux_i1,
+    aux_i2,
     collective_spectrum,
     f1,
     f2,
@@ -24,6 +27,7 @@ from chidip import (
 )
 from chidip.collective import (
     Y_SERIES,
+    _brackets,
     _brackets_direct,
     _brackets_series,
 )
@@ -156,6 +160,32 @@ def test_series_and_direct_paths_agree_at_switchover():
     # without f2 the same f1 brackets come back
     assert _brackets_direct(y, False) == direct[:3]
     assert _brackets_series(y, False) == series[:3]
+
+
+def test_brackets_pick_series_or_direct_per_element():
+    # _brackets runs the series on the y below Y_SERIES alone; each element
+    # must equal bitwise the form its own y selects, as when both forms ran
+    # over the whole array (y == Y_SERIES takes the trig form)
+    below, above = np.nextafter(Y_SERIES, 0.0), np.nextafter(Y_SERIES, 1.0)
+    cases = [
+        np.array([[1e-90, 1e-3], [below, Y_SERIES], [above, 0.049],
+                  [0.5, 1e300]]),                       # straddles
+        np.array([1e-4, 0.03, below]),                  # all small
+        np.array([Y_SERIES, above, 2.0, 1e5]),          # none small
+        np.multiply.outer(0.04, [1.0, 2.0]),            # y of a float x
+        np.multiply.outer(np.logspace(-4, 1, 301), [0.7, 3.1]),
+    ]
+    for y in cases:
+        small = y < Y_SERIES
+        for with_f2 in (False, True):
+            want = [np.where(small, s, d) for s, d in zip(
+                _brackets_series(np.minimum(y, Y_SERIES), with_f2),
+                _brackets_direct(np.maximum(y, Y_SERIES), with_f2))]
+            got = _brackets(y, with_f2)
+            assert len(got) == len(want) == (6 if with_f2 else 3)
+            for g, w in zip(got, want):
+                assert g.shape == y.shape
+                assert g.tobytes() == w.tobytes()
 
 
 def _reference_channel(y, a, b, c, s):
@@ -337,6 +367,68 @@ def test_sum_rule_and_nonnegative_rates():
         assert abs(s.gamma_plus + s.gamma_minus - m.n_bar) < 1e-14 * m.n_bar
         assert s.gamma_plus >= 0.0
         assert s.gamma_minus >= 0.0
+
+
+EPS = float(np.finfo(float).eps)
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+INDICES = st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+VECTOR = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3)
+# d1, d2 and the axis; d2 = d1 one time in two, which puts x -> 0 at the
+# Dicke limit gamma_minus -> 0
+DIPOLES = st.tuples(VECTOR, VECTOR, VECTOR, st.booleans()).map(
+    lambda t: (t[0], t[0] if t[3] else t[1], t[2]))
+
+
+def _bracket_scales(x, m):
+    """sum over the channels of (3n/8)(|b1| + |b2| + |b3|) and of
+    (3n/8)(|d1| + |d2| + |d3 + aux|): the scale of f1 and f2 at unit |a|,
+    |b|, |c|, and of the rounding of their final combination."""
+    s1 = s2 = 0.0
+    for _, n in m.channels:
+        y = n * x
+        b1, b2, b3, d1, d2, d3 = (float(v[0]) for v in
+                                  _brackets(np.array([y]), with_f2=True))
+        aux = (2 / np.pi) * (aux_i1(y).value / y + aux_i2(y).value / y**2)
+        s1 += 3 * n / 8 * (abs(b1) + abs(b2) + abs(b3))
+        s2 += 3 * n / 8 * (abs(d1) + abs(d2) + abs(d3 + aux))
+    return s1, s2
+
+
+@PROPERTY
+@given(DIPOLES, st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: np.linalg.norm(q) > 0.1), st.floats(1e-4, 1e3), INDICES)
+def test_joint_rotation_leaves_invariants_and_f1_f2(dipoles, quat, x,
+                                                    indices):
+    # (a, b, c) move by rounding only: measured 3.5 eps over 4000 random
+    # rotations, bounded here by 8 eps.  f1 and f2 are linear in (a, b, c)
+    # over brackets that depend on y alone, so they move by at most that
+    # shift times their bracket scale, plus the rounding of the final
+    # combination (measured 1.3 eps of the scale, bounded by 4 eps)
+    R = Rotation.from_quat(quat).as_matrix()
+    g = geometry_factors(normalize_geometry(*dipoles, 1.0))
+    gr = geometry_factors(normalize_geometry(*(R @ v for v in dipoles), 1.0))
+    shift = max(abs(gr.a - g.a), abs(gr.b - g.b), abs(gr.c - g.c))
+    assert shift <= 8 * EPS
+    m = MediumChirality(*indices)
+    for fn, scale in zip((f1, f2), _bracket_scales(x, m)):
+        assert abs(fn(x, m, gr) - fn(x, m, g)) <= (shift + 4 * EPS) * scale
+
+
+@PROPERTY
+@given(DIPOLES, st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 1e3)),
+       INDICES)
+def test_rates_sum_to_n_bar_and_stay_nonnegative(dipoles, x, indices):
+    # gamma_pm = n_bar/2 +- f1 share one f1, so their sum is n_bar up to
+    # three roundings of values below n_bar (measured 1.0 eps n_bar)
+    # gamma_pm >= 0 up to a rounding allowance: the smallest measured was
+    # -1.01 eps n_bar over 20000 samples, half of them at the Dicke limit
+    g = geometry_factors(normalize_geometry(*dipoles, 1.0))
+    m = MediumChirality(*indices)
+    s = collective_spectrum(x, m, g)
+    assert abs(s.gamma_plus + s.gamma_minus - m.n_bar) <= 2 * EPS * m.n_bar
+    assert min(s.gamma_plus, s.gamma_minus) >= -4 * EPS * m.n_bar
 
 
 def test_spectrum_fields_are_consistent():
