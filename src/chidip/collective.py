@@ -237,8 +237,17 @@ def _channel_sum(n, g, b1, b2, b3):
     return to_output(terms[..., 0] + terms[..., 1])
 
 
+def _exchange_brackets(y):
+    """f1's brackets (b1, b2, b3) and f2's (d1, d2, d3 + aux) at y, from one
+    _brackets and one _aux_parts; aux = (2/pi)(I1(y)/y + I2(y)/y^2)."""
+    b1, b2, b3, d1, d2, d3 = _brackets(y, with_f2=True)
+    u, p1, p2, _ = _aux_parts(y)        # I1 = u^2 - p1, I2 = u - p2
+    aux = (2 / np.pi) * u * (u * u - p1 + u * (u - p2))
+    return b1, b2, b3, d1, d2, d3 + aux
+
+
 def _exchange(x, m, g):
-    """(F1, F2) from one check of x, one _brackets and one _aux_parts."""
+    """(F1, F2) from one check of x and one _exchange_brackets."""
     x, n, y = _channels(x, m)
     ok = x >= max(_Y_MIN_F2 * max(v, 1.0) ** (1 / 3) / v
                   for v in (m.n_left, m.n_right))
@@ -246,12 +255,10 @@ def _exchange(x, m, g):
         raise InvalidSeparation(
             f"separation x={first_failing(x, ok)} is too small: "
             f"f2 ~ 1/x^3 overflows")
-    b1, b2, b3, d1, d2, d3 = _brackets(y, with_f2=True)
-    u, p1, p2, _ = _aux_parts(y)        # I1 = u^2 - p1, I2 = u - p2
-    aux = (2 / np.pi) * u * (u * u - p1 + u * (u - p2))
+    b1, b2, b3, d1, d2, d3_aux = _exchange_brackets(y)
     # the c term of F2 is -s c (d3 + aux)
     return (_channel_sum(n, g, b1, b2, b3),
-            _channel_sum(n, g, d1, d2, -(d3 + aux)))
+            _channel_sum(n, g, d1, d2, -d3_aux))
 
 
 def f1(x, m: MediumChirality, g: GeometryInvariants):

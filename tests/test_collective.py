@@ -16,8 +16,6 @@ from chidip import (
     MediumChirality,
     a_l_damping,
     a_t,
-    aux_i1,
-    aux_i2,
     collective_spectrum,
     f1,
     f2,
@@ -30,8 +28,10 @@ from chidip.collective import (
     _brackets,
     _brackets_direct,
     _brackets_series,
+    _exchange_brackets,
 )
 
+EPS = float(np.finfo(float).eps)
 VACUUM = MediumChirality(1.0, 1.0)
 INACTIVE3 = MediumChirality(3.0, 3.0)
 ACTIVE = MediumChirality(1.5, 4.5)
@@ -357,6 +357,11 @@ def test_lamb_cutoff_validation():
 # assembled spectrum
 
 def test_sum_rule_and_nonnegative_rates():
+    """gamma_+ + gamma_- = n_bar and gamma_+- >= 0 on random geometries, and
+    at the Dicke limit d2 = d1 with x down to 1e-9.  There gamma_- -> 0 and
+    rounding may take it below 0: the smallest measured was -1.36 eps n_bar
+    over 20000 such samples, so those inputs alone get an allowance of
+    4 eps n_bar."""
     rng = np.random.default_rng(10)
     for _ in range(300):
         g = _random_invariants(rng)
@@ -367,9 +372,16 @@ def test_sum_rule_and_nonnegative_rates():
         assert abs(s.gamma_plus + s.gamma_minus - m.n_bar) < 1e-14 * m.n_bar
         assert s.gamma_plus >= 0.0
         assert s.gamma_minus >= 0.0
+    for _ in range(300):
+        d, ax = rng.normal(size=(2, 3))
+        g = geometry_factors(normalize_geometry(d, d, ax, 1.0))
+        m = MediumChirality(*map(float, rng.uniform(0.2, 5.0, size=2)))
+        x = float(10 ** rng.uniform(-9.0, 3.0))
+        s = collective_spectrum(x, m, g)
+        assert abs(s.gamma_plus + s.gamma_minus - m.n_bar) < 1e-14 * m.n_bar
+        assert min(s.gamma_plus, s.gamma_minus) >= -4 * EPS * m.n_bar
 
 
-EPS = float(np.finfo(float).eps)
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
 INDICES = st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0))
@@ -385,15 +397,9 @@ def _bracket_scales(x, m):
     """sum over the channels of (3n/8)(|b1| + |b2| + |b3|) and of
     (3n/8)(|d1| + |d2| + |d3 + aux|): the scale of f1 and f2 at unit |a|,
     |b|, |c|, and of the rounding of their final combination."""
-    s1 = s2 = 0.0
-    for _, n in m.channels:
-        y = n * x
-        b1, b2, b3, d1, d2, d3 = (float(v[0]) for v in
-                                  _brackets(np.array([y]), with_f2=True))
-        aux = (2 / np.pi) * (aux_i1(y).value / y + aux_i2(y).value / y**2)
-        s1 += 3 * n / 8 * (abs(b1) + abs(b2) + abs(b3))
-        s2 += 3 * n / 8 * (abs(d1) + abs(d2) + abs(d3 + aux))
-    return s1, s2
+    n = np.array([n for _, n in m.channels])
+    b = 3 * n / 8 * np.abs(_exchange_brackets(n * x))
+    return float(b[:3].sum()), float(b[3:].sum())
 
 
 @PROPERTY
@@ -414,21 +420,6 @@ def test_joint_rotation_leaves_invariants_and_f1_f2(dipoles, quat, x,
     m = MediumChirality(*indices)
     for fn, scale in zip((f1, f2), _bracket_scales(x, m)):
         assert abs(fn(x, m, gr) - fn(x, m, g)) <= (shift + 4 * EPS) * scale
-
-
-@PROPERTY
-@given(DIPOLES, st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 1e3)),
-       INDICES)
-def test_rates_sum_to_n_bar_and_stay_nonnegative(dipoles, x, indices):
-    # gamma_pm = n_bar/2 +- f1 share one f1, so their sum is n_bar up to
-    # three roundings of values below n_bar (measured 1.0 eps n_bar)
-    # gamma_pm >= 0 up to a rounding allowance: the smallest measured was
-    # -1.01 eps n_bar over 20000 samples, half of them at the Dicke limit
-    g = geometry_factors(normalize_geometry(*dipoles, 1.0))
-    m = MediumChirality(*indices)
-    s = collective_spectrum(x, m, g)
-    assert abs(s.gamma_plus + s.gamma_minus - m.n_bar) <= 2 * EPS * m.n_bar
-    assert min(s.gamma_plus, s.gamma_minus) >= -4 * EPS * m.n_bar
 
 
 def test_spectrum_fields_are_consistent():

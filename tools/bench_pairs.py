@@ -1,12 +1,13 @@
 """Paired before/after runs of the benchmark, written as BENCH_<label>.json.
 
     python3 tools/bench_pairs.py BEFORE AFTER --workload sweep [dynamics ...] \\
-        --seed N --pairs 10 --label NAME [--seconds 25]
+        --seed N --pairs 10 --label NAME
 
 BEFORE and AFTER are two checkout directories.  Each side runs its own
-perfbench/run.py, unchanged, which measures the src/ next to it.  Pair k
-runs BEFORE first when k is even and AFTER first when k is odd, so that
-neither side always meets a warmer or cooler machine.
+perfbench/run.py, unchanged and at its default run length, which measures
+the src/ next to it.  Pair k runs BEFORE first when k is even and AFTER
+first when k is odd, so that neither side always meets a warmer or cooler
+machine.
 
 BENCH_<label>.json, written to the current directory, holds per workload
 every run's result line and, per end-to-end metric of BENCHMARK.json:
@@ -30,13 +31,12 @@ from pathlib import Path
 SIDES = ("before", "after")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+def run_once(checkout: Path, workload: str, seed: int):
     """One benchmark run of the checkout; returns its JSON result line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--workload", workload, "--seed", str(seed)],
         cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -75,7 +75,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
@@ -86,7 +85,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "seed": args.seed,
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "host": {"machine": platform.machine(),
                  "cpus": len(os.sched_getaffinity(0)),
                  "python": platform.python_version()},
@@ -96,8 +95,7 @@ def main(argv=None) -> int:
         runs = {side: [] for side in SIDES}
         for k in range(args.pairs):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                line = run_once(checkouts[side], workload, args.seed,
-                                args.seconds)
+                line = run_once(checkouts[side], workload, args.seed)
                 runs[side].append(line)
                 print(f"{workload} pair {k} {side}: items_per_s "
                       f"{line['metrics']['items_per_s']['value']:.6g}, "
