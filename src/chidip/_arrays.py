@@ -1,9 +1,12 @@
-"""Array plumbing shared by the closed forms.
+"""Array plumbing shared by the closed forms, the geometry and the dynamics.
 
 The public functions of :mod:`chidip.specfun` and :mod:`chidip.collective`
 take a float or an array of any shape and run one array code path; these
 helpers turn the input into an array, name the first value that fails a
-check, and hand a 0-d result back as a Python float.
+check, and hand a 0-d result back as a Python float.  :mod:`chidip.geometry`
+and :mod:`chidip.dynamics` take their vectors, separation, rates and times
+through ``as_floats`` too, so that a value of the wrong type raises the
+module's own ChidipError.
 """
 
 from __future__ import annotations
@@ -11,16 +14,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_floats(values, error, what: str) -> np.ndarray:
+def as_floats(values, error, what: str, dtype=float) -> np.ndarray:
     """values as a float array; raises error unless they are real numbers
-    (complex values are refused, not cast)."""
+    (complex values are refused, not cast).  With dtype=complex: values as
+    a complex array, and complex numbers are accepted."""
+    kinds, kind = (("iufc", "numbers") if dtype is complex
+                   else ("iuf", "real numbers"))
     try:
         array = np.asarray(values)
     except ValueError:                  # a ragged nested sequence
         array = None
-    if array is None or array.dtype.kind not in "iuf":
-        raise error(f"{what} must be real numbers, got {values!r}")
-    return array.astype(float, copy=False)
+    if array is None or array.dtype.kind not in kinds:
+        raise error(f"{what} must be {kind}, got {values!r}")
+    return array.astype(dtype, copy=False)
 
 
 def first_failing(values: np.ndarray, ok) -> float:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
+from ._arrays import as_floats
 from .errors import DomainError, UnphysicalRates
 
 # below this Re exponent exp() underflows; flush the amplitude to exact zero
@@ -92,24 +93,28 @@ def _damped_exponential(coeff: complex, times: np.ndarray) -> np.ndarray:
     return np.where(dead, 0.0 + 0.0j, out)
 
 
-def _checked_times(a_l: complex, a_t: ArrayLike,
-                   times: ArrayLike) -> np.ndarray:
-    """The time grid as a 1-d array, after the checks evolve documents."""
-    t = np.atleast_1d(np.asarray(times, dtype=float))
+def _checked_inputs(a_l, a_t, times):
+    """a_l as a complex, a_t as a complex array and the time grid as a 1-d
+    float array, after the checks evolve documents."""
+    a_l = as_floats(a_l, DomainError, "a_l", dtype=complex)
+    a_t = as_floats(a_t, DomainError, "a_t", dtype=complex)
+    t = np.atleast_1d(as_floats(times, DomainError, "times"))
+    if a_l.ndim != 0:
+        raise DomainError(f"a_l must be one number, got {a_l!r}")
     if t.ndim != 1 or t.size == 0:
         raise DomainError("times must be a non-empty 1-d grid")
     if not np.all(np.isfinite(t)):
         raise DomainError("times must be finite")
     if np.any(t < 0.0) or np.any(np.diff(t) < 0.0):
         raise DomainError("times must be non-negative and sorted ascending")
-    if not (cmath.isfinite(complex(a_l)) and np.all(np.isfinite(a_t))):
+    a_l = complex(a_l)
+    if not (cmath.isfinite(a_l) and np.all(np.isfinite(a_t))):
         raise DomainError(f"a_l and a_t must be finite, got {a_l}, {a_t}")
-    re_l = complex(a_l).real
-    re_t = float(np.max(np.abs(np.real(a_t))))
-    if re_l + re_t > 0.0:
+    re_t = float(np.max(np.abs(a_t.real)))
+    if a_l.real + re_t > 0.0:
         raise UnphysicalRates(
-            f"growing mode: Re(a_l)={re_l} with |Re(a_t)|={re_t}")
-    return t
+            f"growing mode: Re(a_l)={a_l.real} with |Re(a_t)|={re_t}")
+    return a_l, a_t, t
 
 
 def evolve(a_l: complex, a_t: complex, times: ArrayLike) -> AmplitudeTrajectory:
@@ -122,8 +127,10 @@ def evolve(a_l: complex, a_t: complex, times: ArrayLike) -> AmplitudeTrajectory:
     Im(a_l +- a_t) * t beyond the float range on an amplitude that has not
     decayed to exact zero.
     """
-    t = _checked_times(a_l, a_t, times)
-    a_l, a_t = complex(a_l), complex(a_t)
+    a_l, a_t, t = _checked_inputs(a_l, a_t, times)
+    if a_t.ndim != 0:
+        raise DomainError(f"a_t must be one number, got {a_t!r}")
+    a_t = complex(a_t)
     exp_plus = _damped_exponential(a_l + a_t, t)
     exp_minus = _damped_exponential(a_l - a_t, t)
     c_plus = exp_plus / _SQRT2
@@ -140,11 +147,13 @@ def interaction_energy_at(a_l: complex, a_t: ArrayLike,
     hbar*Gamma0; equal to ``evolve(a_l, a_t, [time]).e_int[0]`` for each.
 
     Raises as evolve does: UnphysicalRates if any a_t gives a growing mode,
-    DomainError for non-finite rates or a negative or non-finite time.
+    DomainError for non-finite rates or a negative or non-finite time, or
+    for more than one time.
     """
-    a_t = np.asarray(a_t, dtype=complex)
-    (t,) = _checked_times(a_l, a_t, time)
-    return _interaction_energy(a_l, a_t, t)
+    a_l, a_t, t = _checked_inputs(a_l, a_t, time)
+    if t.size != 1:
+        raise DomainError(f"time must be one number, got {time!r}")
+    return _interaction_energy(a_l, a_t, t[0])
 
 
 def _interaction_energy(a_l: complex, a_t: np.ndarray, t) -> np.ndarray:

@@ -21,16 +21,37 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
+from ._arrays import as_floats
 from .errors import InvalidGeometry, InvalidSeparation
 
 _UNIT_TOL = 1e-12
 
 
-def _unit(v: ArrayLike, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+def _vector(v: ArrayLike, name: str) -> np.ndarray:
+    """v as a finite real 3-vector, else InvalidGeometry."""
+    v = as_floats(v, InvalidGeometry, name)
     if v.shape != (3,) or not np.all(np.isfinite(v)):
         raise InvalidGeometry(f"{name} must be a finite 3-vector, got {v!r}")
-    norm = np.linalg.norm(v)
+    return v
+
+
+def _separation(x) -> float:
+    """x as a positive finite Python float, else InvalidSeparation."""
+    value = as_floats(x, InvalidSeparation, "separation x")
+    if value.ndim != 0:
+        raise InvalidSeparation(f"separation x must be one number, got {x!r}")
+    if not (np.isfinite(value) and value > 0.0):
+        raise InvalidSeparation(f"separation x must be > 0, got {x}")
+    return float(value)
+
+
+def _unit(v: ArrayLike, name: str) -> np.ndarray:
+    v = _vector(v, name)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if norm == np.inf:      # the squares overflow: scale to the largest first
+        v = v / np.max(np.abs(v))
+        norm = np.linalg.norm(v)
     if norm == 0.0:
         raise InvalidGeometry(f"{name} must be nonzero")
     return v / norm
@@ -48,12 +69,11 @@ class DipoleGeometry:
 
     def __post_init__(self):
         for name in ("d1_hat", "d2_hat", "r_hat"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+            v = _vector(getattr(self, name), name)
+            if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
                 raise InvalidGeometry(f"{name} must be a unit 3-vector")
             object.__setattr__(self, name, v)
-        if not (np.isfinite(self.x) and self.x > 0.0):
-            raise InvalidSeparation(f"separation x must be > 0, got {self.x}")
+        object.__setattr__(self, "x", _separation(self.x))
 
 
 @dataclass(frozen=True)
@@ -69,13 +89,13 @@ def normalize_geometry(d1: ArrayLike, d2: ArrayLike, axis: ArrayLike,
                        x: float) -> DipoleGeometry:
     """Build a DipoleGeometry from unnormalized vectors.
 
-    Raises InvalidGeometry for zero/non-finite vectors and
-    InvalidSeparation for x <= 0.
+    Raises InvalidGeometry unless each vector is a nonzero finite real
+    3-vector, and InvalidSeparation unless x is one real number > 0 and
+    finite.
     """
-    if not (np.isfinite(x) and x > 0.0):
-        raise InvalidSeparation(f"separation x must be > 0, got {x}")
+    x = _separation(x)
     return DipoleGeometry(_unit(d1, "d1"), _unit(d2, "d2"),
-                          _unit(axis, "axis"), float(x))
+                          _unit(axis, "axis"), x)
 
 
 def geometry_factors(g: DipoleGeometry) -> GeometryInvariants:

@@ -63,11 +63,6 @@ against a rule with 128, f2 against a grid with twice the pole panels
 (half their width), twice the tail segments (so the tail reaches twice as
 far) and the polar rule of that longer grid, never fewer than 128 nodes.
 
-The auxiliary integrals I1/I2 of :mod:`chidip.specfun` have their own
-oracle here as well: adaptive quadrature of the defining integrals
-(``aux_i1_quadrature``/``aux_i2_quadrature``), kept out of the production
-modules so that importing them does not load ``scipy.integrate``.
-
 These functions are verification fixtures: production code should use the
 closed forms in :mod:`chidip.collective`, which are ~10^3 x faster.
 """
@@ -78,13 +73,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import roots_legendre
 
 from .collective import MediumChirality
-from .errors import DomainError, OracleDivergence
+from .errors import OracleDivergence
 from .geometry import DipoleGeometry
-from .specfun import AuxIntegralResult
 
 _PANEL_BLOCK = 128      # panels per phase-matrix block (memory cap)
 _N_AZIMUTHAL = 16       # phi nodes; exact for the quadratic dyadic (>= 6)
@@ -310,31 +303,3 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
             f"f2 radial/angular refinement drift {drift:.3e} exceeds "
             f"{refine_tol:.1e} * {scale:.3g} at x={x}")
     return coarse
-
-
-# ---------------------------------------------------------------------------
-# auxiliary-integral oracle
-
-def aux_i1_quadrature(u: float) -> AuxIntegralResult:
-    """I1(u) by adaptive quadrature of the defining integral (test oracle)."""
-    return _aux_quadrature(u, 3)
-
-
-def aux_i2_quadrature(u: float) -> AuxIntegralResult:
-    """I2(u) by adaptive quadrature of the defining integral (test oracle)."""
-    return _aux_quadrature(u, 2)
-
-
-def _aux_quadrature(u: float, power: int) -> AuxIntegralResult:
-    if not (np.isfinite(u) and u > 0.0):
-        raise DomainError(f"integral diverges for u <= 0, got {u}")
-    xi_max = max(50.0 / u, 50.0)
-
-    def f(xi):
-        return xi**power * np.exp(-xi * u) / (xi**2 + 1.0)
-
-    # split at the algebraic knee (xi = 1) and the exponential scale (1/u)
-    pts = sorted({1.0, min(1.0 / u, 0.5 * xi_max)})
-    value, abserr = integrate.quad(f, 0.0, xi_max, epsabs=1e-13,
-                                   epsrel=1e-12, limit=800, points=pts)
-    return AuxIntegralResult(float(value), float(abserr))

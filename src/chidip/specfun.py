@@ -27,11 +27,9 @@ The two closed forms share one sici and one sin/cos of u (``_aux_parts``).
 :func:`chidip.collective.f2` takes its I1/I2 from the same parts, without
 the domain check: its own floor on n*x keeps u far above both limits.
 
-The independent route, direct adaptive quadrature of the defining integrals
-with the exponential tail truncated at xi_max = max(50/u, 50), is a test
-oracle and lives in :mod:`chidip.oracle` (``aux_i1_quadrature``,
-``aux_i2_quadrature``).  The closed forms were verified against it over
-u in [1e-3, 1e3] before being adopted.
+The independent check is in the tests, not here: the acceptance gate A8
+compares both closed forms over u in [1e-3, 1e3] with 30-digit mpmath
+tanh-sinh quadrature of the defining integrals.
 """
 
 from __future__ import annotations

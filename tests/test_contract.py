@@ -6,7 +6,9 @@ and it raises a ChidipError for an index that is not a real number.
 For any such medium and any x, a float or a 1-d array, each public closed
 form returns finite values or raises a ChidipError, and emits no warning.
 A float (or 0-d array) gives Python floats; an array gives arrays whose
-elements equal the element-wise float calls.  The dynamics (evolve,
+elements equal the element-wise float calls.  normalize_geometry builds
+unit vectors and a positive float x, or raises a ChidipError, for any
+vectors and separation, numbers or not.  The dynamics (evolve,
 interaction_energy_at) keep the same contract for any rates and times.  A
 CLI run exits 0, 1 or 2 without a traceback or a warning, on exit 0
 prints only finite rows and nothing on stderr, and on exit 2 prints one
@@ -36,6 +38,7 @@ from chidip import (
     f1,
     f2,
     interaction_energy_at,
+    normalize_geometry,
 )
 from chidip.cli import _FLAGS, SCENARIOS, main
 
@@ -127,6 +130,41 @@ def test_array_x_matches_elementwise_floats(xs, indices, g):
 
 
 # ---------------------------------------------------------------------------
+# geometry
+
+# values that are not one real number: strings, None, complex, an integer
+# beyond the float range, a list
+NOT_REAL = st.sampled_from(["1", "abc", None, 1j, 10**400, [1.0, 2.0]])
+COORD = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                  st.floats(-10.0, 10.0),
+                  st.sampled_from([0.0, 1e308, -1.7e308, 5e-324]))
+VECTORS = st.one_of(*[st.tuples(COORD, COORD, COORD)] * 8,
+                    st.tuples(NOT_REAL, COORD, COORD), NOT_REAL)
+SEPARATIONS = st.one_of(*[X] * 9, NOT_REAL)
+
+
+@CONTRACT
+@given(VECTORS, VECTORS, VECTORS, SEPARATIONS)
+@example((1e308, 1e308, 0.0), (0, 1, 0), (0, 0, 1), 1.0)
+@example(("abc", 0, 0), (0, 1, 0), (0, 0, 1), 1.0)
+@example((1j, 0, 0), (0, 1, 0), (0, 0, 1), 1.0)
+@example((1, 0, 0), (0, 1, 0), (0, 0, 1), "1")
+@example((1, 0, 0), (0, 1, 0), (0, 0, 1), None)
+@example((1, 0, 0), (0, 1, 0), (0, 0, 1), 1j)
+@example((1, 0, 0), (0, 1, 0), (0, 0, 1), 10**400)
+@example((1, 0, 0), (0, 1, 0), (0, 0, 1), [1.0, 2.0])
+def test_normalize_geometry_gives_unit_vectors_or_chidip_error(d1, d2, axis,
+                                                               x):
+    g = _outcome(normalize_geometry, d1, d2, axis, x)
+    if isinstance(g, ChidipError):
+        return
+    for v in (g.d1_hat, g.d2_hat, g.r_hat):
+        assert v.shape == (3,)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert type(g.x) is float and math.isfinite(g.x) and g.x > 0.0
+
+
+# ---------------------------------------------------------------------------
 # dynamics
 
 REALS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
@@ -143,6 +181,13 @@ TIMES = st.one_of(
 
 @CONTRACT
 @given(RATES, RATES, TIMES)
+@example("x", 0.1, [0.0, 1.0])
+@example(-0.5, 0.1, 1j)
+@example(-0.5, 0.1, [0.0, 1j])
+@example(None, 0.1, [0.0, 1.0])
+@example(-0.5, [0.1, 0.2], [0.0, 1.0])
+@example(-0.5, 0.1, [[0.0, 1.0], [2.0]])
+@example(-0.5, 0.1, 10**400)
 def test_evolve_gives_finite_amplitudes_or_chidip_error(a_l, a_t, times):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -158,6 +203,10 @@ def test_evolve_gives_finite_amplitudes_or_chidip_error(a_l, a_t, times):
 
 @CONTRACT
 @given(RATES, st.lists(RATES, min_size=1, max_size=4), REALS)
+@example("x", [0.1], 1.0)
+@example(-0.5, ["abc"], 1.0)
+@example(-0.5, [0.1], 1j)
+@example(-0.5, [0.1], [1.0, 2.0])
 def test_interaction_energy_at_gives_finite_values_or_chidip_error(a_l, a_t,
                                                                    time):
     with warnings.catch_warnings():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -32,6 +34,43 @@ def test_zero_vector_rejected():
         normalize_geometry((0, 0, 0), (0, 0, 1), (1, 0, 0), 1.0)
     with pytest.raises(InvalidGeometry):
         normalize_geometry((0, 0, 1), (0, 0, 1), (0, 0, 0), 1.0)
+
+
+@pytest.mark.parametrize("x", ["1", None, 1j, 10**400, [1.0, 2.0],
+                               np.array([2.0]), float("nan")])
+def test_separation_that_is_not_one_real_number_rejected(x):
+    with pytest.raises(InvalidSeparation):
+        normalize_geometry((0, 0, 1), (0, 0, 1), (1, 0, 0), x)
+    with pytest.raises(InvalidSeparation):
+        DipoleGeometry(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
+                       np.array([1.0, 0.0, 0.0]), x)
+
+
+@pytest.mark.parametrize("v", [("abc", 0, 0), (1j, 0, 0), (10**400, 0, 0),
+                               None, [(1, 2), 0, 0], (1.0, 0.0)])
+def test_vector_that_is_not_real_3_vector_rejected(v):
+    with pytest.raises(InvalidGeometry):
+        normalize_geometry(v, (0, 0, 1), (1, 0, 0), 1.0)
+    with pytest.raises(InvalidGeometry):
+        normalize_geometry((0, 0, 1), (0, 0, 1), v, 1.0)
+
+
+def test_huge_vectors_normalize_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = normalize_geometry((1e308, 1e308, 0), (0, -1.7e308, 0),
+                               (0, 0, 1e308), 2.0)
+    assert_allclose(g.d1_hat, [2**-0.5, 2**-0.5, 0], rtol=1e-15)
+    assert g.d2_hat.tolist() == [0.0, -1.0, 0.0]
+    assert g.r_hat.tolist() == [0.0, 0.0, 1.0]
+
+
+def test_valid_separation_becomes_a_python_float():
+    unit = np.array([0.0, 0.0, 1.0])
+    for x in (2, np.float32(2.0), np.array(2.0), np.int64(2)):
+        for g in (normalize_geometry(unit, unit, unit, x),
+                  DipoleGeometry(unit, unit, unit, x)):
+            assert type(g.x) is float and g.x == 2.0
 
 
 def test_type_rejects_non_unit_vectors():

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -208,3 +210,13 @@ def test_f2_oracle_deterministic():
     a = f2_oracle(6.0, m, ISO)
     b = f2_oracle(6.0, m, ISO)
     assert a == b
+
+
+def test_package_does_not_load_scipy_integrate():
+    # the I1/I2 quadrature references live in the tests; neither the CLI
+    # nor the mode-sum oracle pulls in scipy's quadrature
+    code = ("import sys, chidip.cli, chidip.oracle; "
+            "print('scipy.integrate' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "False\n"

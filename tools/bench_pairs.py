@@ -10,11 +10,14 @@ first when k is odd, so that neither side always meets a warmer or cooler
 machine.
 
 BENCH_<label>.json, written to the current directory, holds per workload
-every run's result line and, per end-to-end metric of BENCHMARK.json:
-each side's median and quartiles, the relative change of the median
-(positive = better), and the pairs AFTER won (ties count for neither).
-``gain`` is true when AFTER won at least nine tenths of the pairs and the
-medians differ by more than the distance between BEFORE's quartiles.
+every run's result line, whether each side's runs were all ``correct``
+and the requests each side ``failed`` in total, and, per end-to-end
+metric of BENCHMARK.json: each side's median and quartiles, the relative
+change of the median (positive = better), and the pairs AFTER won (ties
+count for neither).  ``gain`` is true when every run of both sides was
+correct, AFTER failed no more requests than BEFORE, AFTER won at least
+nine tenths of the pairs and the medians differ by more than the distance
+between BEFORE's quartiles.
 """
 
 from __future__ import annotations
@@ -42,8 +45,13 @@ def run_once(checkout: Path, workload: str, seed: int):
 
 
 def summarize(runs, metrics):
-    """Per end-to-end metric: both sides' quartiles, the wins of AFTER and
-    whether they make a gain."""
+    """Whether each side's runs were all correct and how many requests they
+    failed, and per end-to-end metric: both sides' quartiles, the wins of
+    AFTER and whether they make a gain."""
+    correct = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
+    # a change that gets answers wrong or drops requests gains nothing
+    sound = all(correct.values()) and failed["after"] <= failed["before"]
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -62,9 +70,10 @@ def summarize(runs, metrics):
                for side, q in quartiles.items()},
             "change": gap / abs(med) if med else None,
             "wins": wins,
-            "gain": wins >= 0.9 * len(values["before"]) and gap > q3 - q1,
+            "gain": (sound and wins >= 0.9 * len(values["before"])
+                     and gap > q3 - q1),
         }
-    return out
+    return {"correct": correct, "failed": failed, "metrics": out}
 
 
 def main(argv=None) -> int:
