@@ -49,7 +49,8 @@ def _unit(v: ArrayLike, name: str) -> np.ndarray:
     v = _vector(v, name)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(v)
-    if norm == np.inf:      # the squares overflow: scale to the largest first
+    if np.any(v) and not 1e-150 < norm < np.inf:
+        # the squares over- or underflow: scale to the largest first
         v = v / np.max(np.abs(v))
         norm = np.linalg.norm(v)
     if norm == 0.0:

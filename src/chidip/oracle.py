@@ -11,12 +11,14 @@ choice of (e1, e2), so the projection is evaluated frame-free,
 
     d2 . M(k_hat, s) . d1 = d2.d1 - (k_hat.d2)(k_hat.d1) + s i k_hat.(d2 x d1),
 
-and no transverse frame is built per mode direction (``mode_dyadic_sample``
-builds M from an explicit frame and is the test reference for this form).
-Both oracles share one angular reduction: with the polar axis along r_hat
-the phase depends on mu = k_hat.r_hat only, so the projected dyadic is
-averaged over phi (exact on a small uniform grid, since it is quadratic in
-k_hat) and the mu integral is done by Gauss-Legendre
+and no transverse frame is built (the tests build M from an explicit
+frame as the reference for this form).
+Both oracles share one angular reduction, and it has one quadrature.  With
+the polar axis along r_hat the phase depends on mu = k_hat.r_hat only, and
+the projected dyadic is quadratic in k_hat, so its average over phi follows
+from the ring moments <k_hat> = mu r_hat and <k_hat k_hat> =
+(1 - mu^2)/2 (1 - r_hat r_hat) + mu^2 r_hat r_hat: a polynomial in mu, with
+no phi nodes.  The mu integral is done by Gauss-Legendre
 (``scipy.special.roots_legendre``).  The on-shell part (f1) evaluates that
 average at |k| = n_lambda k0; the off-shell part (f2) additionally performs
 the radial principal-value integral over the mode frequency.
@@ -30,8 +32,10 @@ k = 1), and at the node mid_p + h xi_l of panel p the phase factors as
 so the weighted mu sum for a block of panels is one (panels x mu) @
 (mu x panel nodes) matrix product: one exp per panel and polar node
 instead of one per radial node and polar node.  Only the real part of the
-sum is needed and the mu rule is symmetric, so the weights at -mu are
-folded onto +mu first, which halves the polar count the product sees.
+sum is needed, the mu rule is symmetric and the phi average at -mu is the
+conjugate of the one at +mu, so the angular reduction keeps the mu >= 0
+half of the rule with doubled weights, which halves the polar count the
+product sees.
 The kernel works through _PANEL_BLOCK panels at a time, which caps its
 temporaries at _PANEL_BLOCK x n_polar/2 reals.
 
@@ -70,7 +74,6 @@ closed forms in :mod:`chidip.collective`, which are ~10^3 x faster.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -80,7 +83,6 @@ from .errors import OracleDivergence
 from .geometry import DipoleGeometry
 
 _PANEL_BLOCK = 128      # panels per phase-matrix block (memory cap)
-_N_AZIMUTHAL = 16       # phi nodes; exact for the quadratic dyadic (>= 6)
 _N_POLAR = 64           # polar nodes of a base pass (f2: at least this)
 _HALF_WINDOW = 1.0      # PV window [1 - 1, 1 + 1] around the pole at k/k0 = 1
 _TAIL_START = 1.0 + _HALF_WINDOW
@@ -92,96 +94,45 @@ _POLE_X, _POLE_W = roots_legendre(16)
 _TAIL_X, _TAIL_W = roots_legendre(10)
 
 
-@dataclass(frozen=True)
-class ModeDyadicSample:
-    """One mode direction with its transverse frame and helicity dyadic."""
-
-    k_hat: np.ndarray
-    e1_hat: np.ndarray
-    e2_hat: np.ndarray
-    m_dyadic: np.ndarray
-
-
-def mode_dyadic_sample(k_hat, helicity: float,
-                       frame_angle: float = 0.0) -> ModeDyadicSample:
-    """Build M(k_hat, s) from an explicit transverse frame.
-
-    frame_angle rotates (e1, e2) about k_hat; M itself is frame covariant,
-    so the dyadic must not depend on the angle (tested property).
-    """
-    k = np.asarray(k_hat, dtype=float)
-    k = k / np.linalg.norm(k)
-    e1, e2 = _transverse_frame(k[None, :])
-    e1, e2 = e1[0], e2[0]
-    if frame_angle != 0.0:
-        ca, sa = math.cos(frame_angle), math.sin(frame_angle)
-        e1, e2 = ca * e1 + sa * e2, -sa * e1 + ca * e2
-    m = (np.outer(e1, e1) + np.outer(e2, e2)
-         + helicity * 1j * (np.outer(e1, e2) - np.outer(e2, e1)))
-    return ModeDyadicSample(k, e1, e2, m)
-
-
-def _transverse_frame(khat: np.ndarray):
-    """Right-handed transverse frame (e1 x e2 = k_hat) for each row of khat."""
-    ref = np.where(np.abs(khat[:, 2:3]) < 0.9,
-                   np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    e1 = np.cross(ref, khat)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(khat, e1)
-    return e1, e2
-
-
-def _projected_dyadic(khat, helicity, d1h, d2h):
-    """d2 . M(k_hat, s) . d1 for every row of khat (vectorized), from the
-    frame-free form d2.d1 - (k.d2)(k.d1) + s i k.(d2 x d1), which follows
-    from e1 e1 + e2 e2 = 1 - k k and e1 e2 - e2 e1 = -[k]x."""
-    return (d2h @ d1h - (khat @ d2h) * (khat @ d1h)
-            + helicity * 1j * (khat @ np.cross(d2h, d1h)))
-
-
 # ---------------------------------------------------------------------------
 # angular reduction and phase kernel shared by both oracles
 
 def _reduced_angular(m, g, n_polar):
-    """Gauss-Legendre nodes in mu and, per helicity, the phi-averaged
-    projected dyadic times the mu weights (polar axis along r_hat).
+    """The mu >= 0 half of the n_polar-point Gauss-Legendre rule and, per
+    helicity, the phi-averaged projected dyadic times the mu weights (polar
+    axis along r_hat).  From the ring moments of the module docstring, that
+    average is
 
-    The directions k_hat = sqrt(1 - mu^2) (cos phi e_a + sin phi e_b)
-    + mu r_hat are built in the basis (e_a, e_b, r_hat), so the
-    propagation phase depends on mu only, and the phi average of the
-    (quadratic in k_hat) projected dyadic is exact on the
-    _N_AZIMUTHAL-point grid.
+        d2.d1 - [(1 - mu^2)/2 (d2.d1 - b) + mu^2 b] + s i mu r_hat.(d2 x d1)
+
+    with b = (d2.r_hat)(r_hat.d1).  Its value at -mu is the conjugate of
+    its value at +mu and the rule is symmetric (the middle node of an odd
+    rule is exactly 0), so the node at -mu is folded onto +mu: the real part
+    of the full mu sum is the half sum with every weight but the one at
+    mu = 0 doubled.
     """
     mu, wmu = roots_legendre(n_polar)
-    e_a, e_b = _transverse_frame(g.r_hat[None, :])
-    phi = 2.0 * np.pi * np.arange(_N_AZIMUTHAL) / _N_AZIMUTHAL
-    ring = np.cos(phi)[:, None] * e_a + np.sin(phi)[:, None] * e_b
-    khat = (np.sqrt(1.0 - mu**2)[:, None, None] * ring
-            + mu[:, None, None] * g.r_hat).reshape(-1, 3)
-    weighted = {}
-    for s, _ in m.channels:
-        proj = _projected_dyadic(khat, s, g.d1_hat, g.d2_hat)
-        weighted[s] = wmu * proj.reshape(n_polar, _N_AZIMUTHAL).mean(axis=1)
-    return mu, weighted
+    mu, wmu = mu[n_polar // 2:], wmu[n_polar // 2:]
+    wmu = np.where(mu > 0.0, 2.0, 1.0) * wmu
+    d21 = g.d2_hat @ g.d1_hat
+    b = (g.d2_hat @ g.r_hat) * (g.r_hat @ g.d1_hat)
+    c = g.r_hat @ np.cross(g.d2_hat, g.d1_hat)
+    even = d21 - (0.5 * (1.0 - mu**2) * (d21 - b) + mu**2 * b)
+    return mu, {s: wmu * (even + s * 1j * mu * c) for s, _ in m.channels}
 
 
 def _panel_average(y, mids, half, nodes, mu, weighted):
     """Re of the (dOmega/4pi) angular average sum_j weighted[j]
     exp(i y kt mu[j]) / 2 at every radial factor kt = mids[p] + half *
     nodes[l] of a grid of equal-width panels; returns the (P x L) values.
+    mu and weighted are the folded half rule of _reduced_angular.
 
     exp(i y kt mu) = exp(i y mids[p] mu) exp(i y half nodes[l] mu), so the
     mu sum over a block of panels is one (P x J) @ (J x L) product with one
-    phase per panel and polar node.  The rule mu is a Gauss-Legendre rule,
-    symmetric about 0, so only the real part is kept: the weight at -mu is
-    conjugated onto +mu and J is half the node count.
+    phase per panel and polar node.
     """
-    lo = mu.size // 2
-    w = weighted[lo:] + weighted[:mu.size - lo][::-1].conj()
-    if mu.size % 2:         # the node at mu = 0 was counted twice
-        w[0] = weighted[lo].real
-    mu = mu[lo:]
-    inner = w[:, None] * np.exp(1j * y * half * np.multiply.outer(mu, nodes))
+    inner = (weighted[:, None]
+             * np.exp(1j * y * half * np.multiply.outer(mu, nodes)))
     inner_re, inner_im = inner.real.copy(), inner.imag.copy()
     out = np.empty((mids.size, nodes.size))
     for i in range(0, mids.size, _PANEL_BLOCK):

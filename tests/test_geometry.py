@@ -65,6 +65,28 @@ def test_huge_vectors_normalize_without_warning():
     assert g.r_hat.tolist() == [0.0, 0.0, 1.0]
 
 
+def test_tiny_vectors_normalize_to_unit_length():
+    # the squares underflow below a norm of about 1e-150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = normalize_geometry((1e-160, 1e-160, 0), (1e-170, 0, 0),
+                               (1e-155, 0, 0), 2.0)
+    for v in (g.d1_hat, g.d2_hat, g.r_hat):
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert_allclose(g.d1_hat, [2**-0.5, 2**-0.5, 0], rtol=1e-15)
+    assert g.d2_hat.tolist() == [1.0, 0.0, 0.0]
+    assert g.r_hat.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_ordinary_vectors_normalize_by_their_norm():
+    # no rescale away from the over- and underflow ends: bitwise v / |v|
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        v = rng.normal(size=3) * 10.0 ** rng.uniform(-100, 100)
+        g = normalize_geometry(v, v, v, 1.0)
+        assert np.array_equal(g.d1_hat, v / np.linalg.norm(v))
+
+
 def test_valid_separation_becomes_a_python_float():
     unit = np.array([0.0, 0.0, 1.0])
     for x in (2, np.float32(2.0), np.array(2.0), np.int64(2)):

@@ -18,12 +18,10 @@ from chidip.specfun import aux_i1, aux_i2
 from scipy.special import roots_legendre
 
 from chidip.oracle import (
-    ModeDyadicSample,
     _panel_average,
-    _projected_dyadic,
+    _reduced_angular,
     f1_oracle,
     f2_oracle,
-    mode_dyadic_sample,
 )
 
 VACUUM = MediumChirality(1.0, 1.0)
@@ -43,7 +41,29 @@ def _random_geometry(rng):
 
 
 # ---------------------------------------------------------------------------
-# the mode dyadic
+# the mode dyadic, built from an explicit frame: the reference for the
+# oracle's frame-free projection and its phi-averaged form
+
+def _transverse_frame(k):
+    """Right-handed transverse frame (e1 x e2 = k) of the unit vector k."""
+    ref = np.array([0.0, 0.0, 1.0] if abs(k[2]) < 0.9 else [1.0, 0.0, 0.0])
+    e1 = np.cross(ref, k)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(k, e1)
+
+
+def _mode_dyadic(k, helicity, frame_angle=0.0):
+    """k_hat, its frame (e1, e2) rotated by frame_angle about k_hat, and
+    M(k_hat, s) = e1 e1 + e2 e2 + s i (e1 e2 - e2 e1) built on it."""
+    k = np.asarray(k, dtype=float)
+    k = k / np.linalg.norm(k)
+    e1, e2 = _transverse_frame(k)
+    ca, sa = math.cos(frame_angle), math.sin(frame_angle)
+    e1, e2 = ca * e1 + sa * e2, -sa * e1 + ca * e2
+    m = (np.outer(e1, e1) + np.outer(e2, e2)
+         + helicity * 1j * (np.outer(e1, e2) - np.outer(e2, e1)))
+    return k, e1, e2, m
+
 
 def test_mode_dyadic_frame_and_projector():
     rng = np.random.default_rng(17)
@@ -51,53 +71,91 @@ def test_mode_dyadic_frame_and_projector():
         k = rng.normal(size=3)
         d1, d2 = rng.normal(size=3), rng.normal(size=3)
         for hel in (+1.0, -1.0):
-            s = mode_dyadic_sample(k, hel)
-            # the oracles' vectorized projection is d2 . M . d1
-            proj = _projected_dyadic(s.k_hat[None, :], hel, d1, d2)[0]
-            assert abs(proj - d2 @ s.m_dyadic @ d1) < 1e-12
-            assert isinstance(s, ModeDyadicSample)
+            k_hat, e1, e2, m = _mode_dyadic(k, hel)
+            # the oracle's frame-free projection is d2 . M . d1
+            proj = (d2 @ d1 - (k_hat @ d2) * (k_hat @ d1)
+                    + hel * 1j * (k_hat @ np.cross(d2, d1)))
+            assert abs(proj - d2 @ m @ d1) < 1e-12
             # orthonormal right-handed frame
-            for u, v in ((s.e1_hat, s.e2_hat), (s.e1_hat, s.k_hat),
-                         (s.e2_hat, s.k_hat)):
+            for u, v in ((e1, e2), (e1, k_hat), (e2, k_hat)):
                 assert abs(u @ v) < 1e-12
-            assert_allclose(np.cross(s.e1_hat, s.e2_hat), s.k_hat,
-                            atol=1e-12)
+            assert_allclose(np.cross(e1, e2), k_hat, atol=1e-12)
             # Hermitian, and symmetric part = transverse projector
-            assert np.max(np.abs(s.m_dyadic - s.m_dyadic.conj().T)) < 1e-12
-            proj = np.eye(3) - np.outer(s.k_hat, s.k_hat)
-            sym = 0.5 * (s.m_dyadic + s.m_dyadic.T)
-            assert np.max(np.abs(sym - proj)) < 1e-12
+            assert np.max(np.abs(m - m.conj().T)) < 1e-12
+            sym = 0.5 * (m + m.T)
+            assert np.max(np.abs(sym - (np.eye(3) - np.outer(k_hat, k_hat)))) \
+                < 1e-12
             # transversality: nothing propagates along k
-            assert np.max(np.abs(s.m_dyadic @ s.k_hat)) < 1e-12
+            assert np.max(np.abs(m @ k_hat)) < 1e-12
 
 
 def test_mode_dyadic_is_frame_covariant():
     rng = np.random.default_rng(18)
     for _ in range(10):
         k = rng.normal(size=3)
-        base = mode_dyadic_sample(k, -1.0)
-        rot = mode_dyadic_sample(k, -1.0, frame_angle=float(rng.uniform(0, 7)))
-        assert np.max(np.abs(rot.m_dyadic - base.m_dyadic)) < 1e-12
+        base = _mode_dyadic(k, -1.0)[3]
+        rot = _mode_dyadic(k, -1.0, frame_angle=float(rng.uniform(0, 7)))[3]
+        assert np.max(np.abs(rot - base)) < 1e-12
+
+
+def _fold(mu, weighted):
+    """The -mu half of a full symmetric rule folded onto +mu: the weights
+    whose half sum has the real part of the full sum."""
+    lo = mu.size // 2
+    folded = weighted[lo:] + weighted[:mu.size - lo][::-1].conj()
+    if mu.size % 2:         # the node at mu = 0 is its own mirror
+        folded[0] = weighted[lo]
+    return folded
+
+
+def test_reduced_angular_matches_frame_built_ring_average():
+    # d2 . M . d1 of frame-built M, averaged over an explicit 16-point phi
+    # ring about r_hat at every node of the full rule, times the mu weights
+    # and folded, against the oracle's closed-form phi moments and half rule
+    rng = np.random.default_rng(25)
+    phi = 2.0 * np.pi * np.arange(16) / 16
+    for _ in range(5):
+        g = _random_geometry(rng)
+        e_a, e_b = _transverse_frame(g.r_hat)
+        for n_polar in (12, 13):
+            mu, wmu = roots_legendre(n_polar)
+            half_mu, weighted = _reduced_angular(ACTIVE, g, n_polar)
+            assert np.array_equal(half_mu, mu[n_polar // 2:])
+            for s, _ in ACTIVE.channels:
+                ring = np.array([[
+                    g.d2_hat @ _mode_dyadic(
+                        math.sqrt(1.0 - u * u)
+                        * (math.cos(p) * e_a + math.sin(p) * e_b)
+                        + u * g.r_hat, s)[3] @ g.d1_hat
+                    for p in phi] for u in mu])
+                want = _fold(mu, wmu * ring.mean(axis=1))
+                assert_allclose(weighted[s], want, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # the panel-factored phase kernel
 
 def test_panel_average_matches_direct_node_sum():
-    # the factored (P x J) @ (J x L) product, with the weights at -mu folded
-    # onto +mu, against one exp per radial node and polar node
+    # the factored (P x J) @ (J x L) product over the mu >= 0 half of the
+    # rule, with folded weights, against one exp per radial node and polar
+    # node of the full rule whose weights satisfy w(-mu) = conj w(mu)
     rng = np.random.default_rng(24)
     for n_polar, n_gl in ((8, 4), (31, 10), (64, 16), (301, 10), (1200, 16)):
         mu, wmu = roots_legendre(n_polar)
-        weighted = wmu * (rng.normal(size=n_polar)
-                          + 1j * rng.normal(size=n_polar))
+        lo = n_polar // 2
+        upper = wmu[lo:] * (rng.normal(size=mu.size - lo)
+                            + 1j * rng.normal(size=mu.size - lo))
+        if n_polar % 2:     # the weight at mu = 0 is its own conjugate
+            upper[0] = upper[0].real
+        weighted = np.concatenate([upper[n_polar % 2:][::-1].conj(), upper])
         nodes, _ = roots_legendre(n_gl)
         for _ in range(3):
             y = rng.uniform(0.5, 20.0)
             n_panels = int(rng.integers(1, 300))
             half = rng.uniform(-1.0, 1.0) * math.pi / y
             mids = rng.uniform(0.0, 2000.0 / y, size=n_panels)
-            got = _panel_average(y, mids, half, nodes, mu, weighted)
+            got = _panel_average(y, mids, half, nodes, mu[lo:],
+                                 _fold(mu, weighted))
             kt = mids[:, None] + half * nodes
             phase = np.exp(1j * y * np.multiply.outer(kt, mu))
             want = 0.5 * (phase @ weighted).real
@@ -121,7 +179,7 @@ def test_f1_oracle_matches_closed_form_vacuum():
 def test_f1_oracle_matches_closed_form_active_isotropic():
     got = f1_oracle(2.0, ACTIVE, ISO)
     want = f1(2.0, ACTIVE, geometry_factors(ISO))
-    assert abs(got - want) < 1e-8
+    assert abs(got - want) < 1e-12
 
 
 def test_f1_oracle_refinement_stability():
