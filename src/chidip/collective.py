@@ -48,7 +48,7 @@ import numpy as np
 from ._arrays import as_floats, first_failing, to_output
 from .errors import DomainError, InvalidSeparation
 from .geometry import GeometryInvariants
-from .specfun import _aux_parts
+from .specfun import _aux
 
 # bracket evaluation switches from trig to series below this y = n*x
 Y_SERIES = 0.05
@@ -239,10 +239,11 @@ def _channel_sum(n, g, b1, b2, b3):
 
 def _exchange_brackets(y):
     """f1's brackets (b1, b2, b3) and f2's (d1, d2, d3 + aux) at y, from one
-    _brackets and one _aux_parts; aux = (2/pi)(I1(y)/y + I2(y)/y^2)."""
+    _brackets and one _aux; aux = (2/pi)(I1(y)/y + I2(y)/y^2)."""
     b1, b2, b3, d1, d2, d3 = _brackets(y, with_f2=True)
-    u, p1, p2, _ = _aux_parts(y)        # I1 = u^2 - p1, I2 = u - p2
-    aux = (2 / np.pi) * u * (u * u - p1 + u * (u - p2))
+    i1, i2 = _aux(y)
+    u = 1.0 / y
+    aux = (2 / np.pi) * u * (i1 + u * i2)
     return b1, b2, b3, d1, d2, d3 + aux
 
 

@@ -8,50 +8,120 @@ The level-shift cross terms need the two Laplace-type integrals
 evaluated at u = n_lambda * x.  Both diverge as u -> 0+ (like 1/u^2 and 1/u)
 and decay as 6/u^4 and 2/u^3 for large u.
 
-They are evaluated by closed forms in terms of Si/Ci:
+They are evaluated with numpy alone, on one of three branches per element:
+
+* u < U_SERIES: the closed forms in Si/Ci,
 
       I1(u) = 1/u^2 - [ -Ci(u) cos u + (pi/2 - Si(u)) sin u ]
-      I2(u) = 1/u   - [  Ci(u) sin u + (pi/2 - Si(u)) cos u ]
+      I2(u) = 1/u   - [  Ci(u) sin u + (pi/2 - Si(u)) cos u ],
 
-``aux_i1`` and ``aux_i2`` take a float or an array of u and evaluate every
-element on the same path; a float in gives float fields out.  Their
-``est_abs_error`` bounds the absolute error: 1e-15 times the magnitudes of
-the value, of the leading term and of Ci(u), plus pi/2 for the absolute
-error of pi/2 - Si(u).  It holds with a factor of about 2 to spare against
-40-digit mpmath over u in [1e-3, 1e6]; at large u it exceeds the value,
-which the closed form gets by cancellation.  Below
-sqrt(tiny) ~ 1.5e-154 (I1) and tiny ~ 2.2e-308 (I2) the leading 1/u^2 and
-1/u terms leave the float range, and both raise DomainError there.
+  with Si and Ci from their power series (A&S 5.2.14, 5.2.16);
+* U_SERIES <= u < U_ASYM: a 64-node Gauss-Laguerre rule on the integrals
+  in t = xi*u,
 
-The two closed forms share one sici and one sin/cos of u (``_aux_parts``).
-:func:`chidip.collective.f2` takes its I1/I2 from the same parts, without
-the domain check: its own floor on n*x keeps u far above both limits.
+      I1(u) = u^-4 int_0^inf t^3 e^-t / (1 + t^2/u^2) dt
+      I2(u) = u^-3 int_0^inf t^2 e^-t / (1 + t^2/u^2) dt,
+
+  which cancel nothing (the closed forms lose a factor of about u^2);
+* u >= U_ASYM: 24 terms of the asymptotic series
+
+      I1(u) = sum_j (-1)^j (2j+3)! / u^(2j+4)
+      I2(u) = sum_j (-1)^j (2j+2)! / u^(2j+3).
+
+The asymptotic series runs on every element, with U_ASYM standing in for
+the smaller u; the other two branches run on their subsets alone
+(``_aux``).  No branch squares a large u, so none overflows.
+
+``aux_i1`` and ``aux_i2`` take a float or an array of u; a float in gives
+float fields out.  Their ``est_abs_error`` is _ERR times the value (times
+tiny where the value is smaller): a bound on the relative error, measured
+against 40-digit mpmath over u in [1e-3, 1e6].  Below sqrt(tiny) ~ 1.5e-154
+(I1) and tiny ~ 2.2e-308 (I2) the leading 1/u^2 and 1/u terms leave the
+float range, and both raise DomainError there.
+
+:func:`chidip.collective.f2` takes its I1/I2 from the same ``_aux``,
+without the domain check: its own floor on n*x keeps u far above both
+limits.
 
 The independent check is in the tests, not here: the acceptance gate A8
-compares both closed forms over u in [1e-3, 1e3] with 30-digit mpmath
+compares both integrals over u in [1e-3, 1e3] with 30-digit mpmath
 tanh-sinh quadrature of the defining integrals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
+from numpy.polynomial.laguerre import laggauss
 
 from ._arrays import as_floats, first_failing, to_output
 from .errors import DomainError
 
-# error scale of the closed forms: scipy's Si(u) and Ci(u) are within
-# 3.7 eps (absolute, or relative to |Ci| where |Ci| > 1) of 40-digit mpmath
-# on u > 0, the worst in u in [3, 4]; 1e-15 is 4.5 eps, and it also covers
-# the rounding of 1/u^2 (1/u) and of the products and sums
-_ERR = 1e-15
+# branch switches and sizes: below U_SERIES the Si/Ci series, below U_ASYM
+# the Gauss-Laguerre rule, from U_ASYM on the asymptotic series
+U_SERIES = 3.0
+U_ASYM = 50.0
+_N_SERIES = 16    # the last Si/Ci term at u = 3 is below 1e-17
+_N_LAGUERRE = 64  # within 1.5e-15 from u = 3; 48 nodes err by 1e-14 at u = 4
+_N_ASYM = 24      # the first omitted term at u = 50 is below 1e-16 relative
+
+# relative error bound, 128 eps = 2.8e-14: the worst measured against
+# 40-digit mpmath is 68 eps, at u just below U_SERIES, where the closed
+# forms cancel most; the Laguerre rule and the asymptotic series keep
+# within 7 and 3 eps (test_error_bound_holds_against_mpmath)
+_ERR = 128 * float(np.finfo(float).eps)
 
 # smallest u of I1 and I2: u^2 and u still normal, 1/u^2 and 1/u <= 4.5e307
 _TINY = float(np.finfo(float).tiny)
 _U_MIN_I1 = float(np.sqrt(_TINY))
 _U_MIN_I2 = _TINY
+
+# series tables, one row per power of u^2 (highest first), one column per
+# function, each on a trailing axis of length 1 for the (2, n) accumulator:
+# Si(u)/u and Ci(u) - gamma - ln u
+_SICI = np.array([[[(-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1))],
+                   [(-1) ** k / (2 * k * math.factorial(2 * k)) if k else 0.0]]
+                  for k in reversed(range(_N_SERIES))])
+# u^4 I1(u) and u^3 I2(u) in 1/u^2
+_ASYM = np.array([[[float((-1) ** j * math.factorial(2 * j + 3))],
+                   [float((-1) ** j * math.factorial(2 * j + 2))]]
+                  for j in reversed(range(_N_ASYM))])
+
+
+def _laguerre(t, n):
+    """L_n(t) and L_n(t) - L_(n-1)(t), from the three-term recurrence in
+    difference form, d_(k+1) = (k d_k - t L_k) / (k + 1), which keeps the
+    small nodes to full relative accuracy."""
+    lag, d = 1.0 - t, -t
+    for k in range(1, n):
+        d = (k * d - t * lag) / (k + 1)
+        lag = lag + d
+    return lag, d
+
+
+def _laguerre_rule(n):
+    """Nodes t and weights w of the n-node Gauss-Laguerre rule, rounded
+    from extended precision: laggauss's nodes after three Newton steps
+    (t L_n' = n (L_n - L_(n-1))), and w = t / ((n+1) L_(n+1)(t))^2.
+    laggauss's own weights are good to only about 1e-13 at 64 nodes."""
+    t = laggauss(n)[0].astype(np.longdouble)
+    for _ in range(3):
+        lag, d = _laguerre(t, n)
+        t -= t * lag / (n * d)
+    w = t / ((n + 1) * _laguerre(t, n + 1)[0]) ** 2
+    return t.astype(float), w.astype(float)
+
+
+_NODES, _WEIGHTS = _laguerre_rule(_N_LAGUERRE)
+# the nodes that matter, largest t (smallest term) first: the 26 nodes
+# beyond t = 59 add less than 1e-21 of either integral.  Per node, t^2 and
+# the (2, 1) column of its t^3 (I1) and t^2 (I2) weights.
+_KEEP = _WEIGHTS * _NODES ** 3 > 1e-20
+_SQUARES = (_NODES[_KEEP, None] ** 2)[::-1]
+_W_I1_I2 = np.stack([_WEIGHTS * _NODES ** 3, _WEIGHTS * _NODES ** 2],
+                    axis=1)[_KEEP, :, None][::-1]
 
 
 @dataclass(frozen=True)
@@ -62,23 +132,74 @@ class AuxIntegralResult:
     est_abs_error: float | np.ndarray
 
 
-def _aux_parts(u):
-    """The terms that I1(u) = 1/u^2 - p1 and I2(u) = 1/u - p2 share, from
-    one sici and one sin/cos: (1/u, p1, p2, |Ci(u)|).
+def _horner(table, z):
+    """The series of table at z (1-d), one row of the result per column."""
+    acc = np.empty((table.shape[1], z.size))
+    acc[:] = table[0]
+    for row in table[1:]:
+        acc *= z
+        acc += row
+    return acc
 
-    With tail = pi/2 - Si(u), p1 = tail sin u - Ci cos u and
-    p2 = Ci sin u + tail cos u.  No 1/u^2 is formed, so the parts stay
-    finite down to the smallest u of I2.
-    """
-    si, ci = sici(u)
-    tail = np.pi / 2 - si
+
+def _asymptotic(u):
+    """(I1, I2) rows for u >= U_ASYM, from powers of 1/u alone."""
+    r = 1.0 / u
+    z = r * r
+    acc = _horner(_ASYM, z)
+    acc *= z * r
+    acc[0] *= r
+    return acc
+
+
+def _series(u):
+    """(I1, I2) rows for 0 < u < U_SERIES from the Si/Ci closed forms;
+    I1 ~ 1/u^2 overflows to inf below sqrt(tiny), silently."""
+    acc = _horner(_SICI, u * u)
+    tail = np.pi / 2 - u * acc[0]           # pi/2 - Si(u)
+    ci = acc[1] + (np.euler_gamma + np.log(u))
     su, cu = np.sin(u), np.cos(u)
-    return 1.0 / u, tail * su - ci * cu, ci * su + tail * cu, np.abs(ci)
+    r = 1.0 / u
+    with np.errstate(over="ignore"):
+        acc[0] = r * r - (tail * su - ci * cu)
+    acc[1] = r - (ci * su + tail * cu)
+    return acc
 
 
-def _checked_parts(u, name, u_min):
+def _gauss_laguerre(u):
+    """(I1, I2) rows for U_SERIES <= u < U_ASYM from the Laguerre rule,
+    with u^-2 / (1 + t^2/u^2) = 1 / (u^2 + t^2), one row per node.  The
+    nodes are summed by elementwise adds, in the same order for every
+    size of u; a matrix product is not, and an array's elements would
+    then differ from the float calls."""
+    q = _SQUARES + u * u
+    np.reciprocal(q, out=q)
+    acc = _W_I1_I2[0] * q[0]
+    for w, row in zip(_W_I1_I2[1:], q[1:]):
+        acc += w * row
+    r = 1.0 / u
+    acc[0] *= r * r
+    acc[1] *= r
+    return acc
+
+
+def _aux(u):
+    """(I1(u), I2(u)) for an array u > 0 of any shape: the asymptotic
+    series on every element, with U_ASYM standing in for the smaller u,
+    then the series and the Laguerre rule on their subsets alone."""
+    v = u.ravel()
+    acc = _asymptotic(np.maximum(v, U_ASYM))
+    small = v < U_SERIES
+    for branch, sub in ((_series, small),
+                        (_gauss_laguerre, ~small & (v < U_ASYM))):
+        if sub.any():
+            acc[:, sub] = branch(v[sub])
+    return acc[0].reshape(u.shape), acc[1].reshape(u.shape)
+
+
+def _checked(u, name, u_min):
     """Check u against the domain of I1 or I2 (u >= u_min, finite) and
-    return its _aux_parts."""
+    return (I1, I2)."""
     u = as_floats(u, DomainError, f"{name} arguments u")
     ok = (u >= u_min) & (u < np.inf)
     if not ok.all():
@@ -87,26 +208,21 @@ def _checked_parts(u, name, u_min):
             raise DomainError(f"{name} overflows for u < {u_min:.3g}, "
                               f"got {bad}")
         raise DomainError(f"{name} diverges for u <= 0, got {bad}")
-    return _aux_parts(u)
+    return _aux(u)
 
 
-def _result(lead, part, abs_ci):
-    """lead - part with its error bound; pi/2 stands in for pi/2 - Si(u),
-    whose absolute error does not shrink with its value."""
-    value = lead - part
-    est = _ERR * (np.abs(value) + lead + abs_ci + np.pi / 2)
+def _result(value):
+    """value with its error bound; tiny stands in for a subnormal value,
+    whose rounding error does not shrink with it."""
+    est = _ERR * np.maximum(value, _TINY)
     return AuxIntegralResult(to_output(value), to_output(est))
 
 
 def aux_i1(u) -> AuxIntegralResult:
-    """I1(u) via the Si/Ci closed form, with an absolute error bound of
-    about 1e-15 (1/u^2 + 3); at large u that exceeds I1 ~ 6/u^4."""
-    r, p1, _, abs_ci = _checked_parts(u, "I1", _U_MIN_I1)
-    return _result(r * r, p1, abs_ci)
+    """I1(u), with an absolute error bound of 2.8e-14 |I1(u)|."""
+    return _result(_checked(u, "I1", _U_MIN_I1)[0])
 
 
 def aux_i2(u) -> AuxIntegralResult:
-    """I2(u) via the Si/Ci closed form, with an absolute error bound of
-    about 1e-15 (1/u + 3); at large u that exceeds I2 ~ 2/u^3."""
-    r, _, p2, abs_ci = _checked_parts(u, "I2", _U_MIN_I2)
-    return _result(r, p2, abs_ci)
+    """I2(u), with an absolute error bound of 2.8e-14 |I2(u)|."""
+    return _result(_checked(u, "I2", _U_MIN_I2)[1])

@@ -278,3 +278,13 @@ def test_package_does_not_load_scipy_integrate():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert run.stdout == "False\n"
+
+
+def test_package_and_cli_do_not_load_scipy():
+    # the closed forms and the CLI run on numpy alone; only the oracle
+    # (and the tests) use scipy
+    code = ("import sys, chidip, chidip.cli; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"

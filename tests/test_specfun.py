@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -6,6 +7,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chidip import DomainError, aux_i1, aux_i2
+from chidip.specfun import (
+    U_ASYM,
+    U_SERIES,
+    _asymptotic,
+    _gauss_laguerre,
+    _NODES,
+    _series,
+    _WEIGHTS,
+)
+
+EPS = np.finfo(float).eps
+# the documented relative error bound of est_abs_error, 2.8e-14
+REL_BOUND = 128 * EPS
 
 # frozen values: 40-digit mpmath I1(1) and I2(1), rounded to 15 digits
 I1_AT_1 = 0.656622038443573
@@ -40,28 +54,70 @@ def test_positive_and_strictly_decreasing():
 
 
 def test_error_estimates():
-    # closed form: a few ulps; meaningful as absolute error once the value
-    # is O(1) (u >= 1)
-    for u in (1.0, 5.0, 50.0, 800.0):
-        assert aux_i1(u).est_abs_error <= 1e-12
-        assert aux_i2(u).est_abs_error <= 1e-12
+    # est_abs_error is the documented multiple of the value
+    u = np.logspace(-3, 6, 200)
+    for res in (aux_i1(u), aux_i2(u)):
+        assert np.all(res.est_abs_error <= REL_BOUND * res.value)
+        assert np.all(res.est_abs_error >= 0.99 * REL_BOUND * res.value)
+
+
+def _mpmath_reference(v):
+    """I1 and I2 at v from 40-digit mpmath Si/Ci."""
+    with mpmath.workdps(40):
+        v = mpmath.mpf(v)
+        si, ci = mpmath.si(v), mpmath.ci(v)
+        h = mpmath.pi / 2 - si
+        return (1 / v**2 - (-ci * mpmath.cos(v) + h * mpmath.sin(v)),
+                1 / v - (ci * mpmath.sin(v) + h * mpmath.cos(v)))
 
 
 def test_error_bound_holds_against_mpmath():
-    # the whole log range, and densely the band u in [2, 5], where scipy's
-    # Si/Ci are least accurate
-    u = np.concatenate([np.logspace(-3, 6, 1500), np.linspace(2.0, 5.0, 300)])
+    # the whole log range, and densely around both branch switches; measured
+    # worst: 68 eps (1.5e-14) just below U_SERIES, where the Si/Ci closed
+    # forms cancel most, 7 eps on the Laguerre rule, 3 eps asymptotically
+    u = np.concatenate([np.logspace(-3, 6, 1500),
+                        np.linspace(U_SERIES - 1.0, U_SERIES + 1.0, 400),
+                        np.linspace(U_ASYM - 5.0, U_ASYM + 5.0, 200)])
     got = (aux_i1(u), aux_i2(u))
-    with mpmath.workdps(40):
-        for k, v in enumerate(u):
-            v = mpmath.mpf(v)
-            si, ci = mpmath.si(v), mpmath.ci(v)
-            h = mpmath.pi / 2 - si
-            refs = (1 / v**2 - (-ci * mpmath.cos(v) + h * mpmath.sin(v)),
-                    1 / v - (ci * mpmath.sin(v) + h * mpmath.cos(v)))
-            for res, ref in zip(got, refs):
-                err = abs(mpmath.mpf(float(res.value[k])) - ref)
-                assert err <= res.est_abs_error[k], v
+    worst = 0.0
+    for k, v in enumerate(u):
+        for res, ref in zip(got, _mpmath_reference(v)):
+            err = abs(mpmath.mpf(float(res.value[k])) - ref)
+            assert err <= res.est_abs_error[k], v
+            worst = max(worst, float(err / ref))
+    assert worst <= 1e-13
+
+
+def test_branches_agree_at_the_switches():
+    # each seam: both branches within the bound of each other, and I1, I2
+    # strictly decreasing on a grid of relative step 1e-12 across it (the
+    # values fall by 3e-12 relative a step there)
+    for seam, below, above in ((U_SERIES, _series, _gauss_laguerre),
+                               (U_ASYM, _gauss_laguerre, _asymptotic)):
+        lo, hi = below(np.array([seam])), above(np.array([seam]))
+        assert np.all(np.abs(lo - hi) <= REL_BOUND * hi)
+        u = seam * (1.0 + 1e-12 * np.arange(-50, 51))
+        for aux in (aux_i1, aux_i2):
+            assert np.all(np.diff(aux(u).value) < 0.0), (seam, aux)
+
+
+def test_array_elements_equal_float_calls():
+    # every branch, the Laguerre rule's sum over its nodes included, gives
+    # an array's elements bitwise as it gives the float calls
+    u = np.concatenate([10 ** np.random.default_rng(5).uniform(-3, 6, 300),
+                        np.linspace(U_SERIES, U_ASYM, 300)])
+    for aux in (aux_i1, aux_i2):
+        values = aux(u).value
+        assert all(aux(float(v)).value == values[k] for k, v in enumerate(u))
+
+
+def test_laguerre_rule_moments():
+    # the polished 64-node rule integrates t^k e^-t exactly up to rounding;
+    # measured within 0.8 eps here (laggauss's own weights: 359 eps)
+    for k in range(13):
+        exact = math.factorial(k)
+        moment = math.fsum(_WEIGHTS * _NODES**k)
+        assert abs(moment - exact) <= 4 * EPS * exact, k
 
 
 def test_domain_errors():
@@ -78,3 +134,10 @@ def test_domain_errors():
                 fn(bad)
             with pytest.raises(DomainError, match=repr(bad)):
                 fn(np.array([1.0, bad, 0.5 * bad]))
+    # the ends of the domain: I2 down to u ~ tiny, where 1/u^2 would
+    # overflow, and large u, where u^2 would
+    for fn, u in ((aux_i2, 1e-300), (aux_i1, 1e200), (aux_i2, 1e300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fn(u).value
+        assert math.isfinite(value) and value >= 0.0, (fn, u)
