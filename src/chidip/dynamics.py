@@ -34,12 +34,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from ._arrays import as_floats
 from .errors import DomainError, UnphysicalRates
+
+if TYPE_CHECKING:  # annotations only: numpy.typing is slow to import
+    from numpy.typing import ArrayLike
 
 # below this Re exponent exp() underflows; flush the amplitude to exact zero
 _EXP_FLOOR = -700.0

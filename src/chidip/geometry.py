@@ -17,12 +17,15 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from ._arrays import as_floats
 from .errors import InvalidGeometry, InvalidSeparation
+
+if TYPE_CHECKING:  # annotations only: numpy.typing is slow to import
+    from numpy.typing import ArrayLike
 
 _UNIT_TOL = 1e-12
 

@@ -18,10 +18,12 @@ the polar axis along r_hat the phase depends on mu = k_hat.r_hat only, and
 the projected dyadic is quadratic in k_hat, so its average over phi follows
 from the ring moments <k_hat> = mu r_hat and <k_hat k_hat> =
 (1 - mu^2)/2 (1 - r_hat r_hat) + mu^2 r_hat r_hat: a polynomial in mu, with
-no phi nodes.  The mu integral is done by Gauss-Legendre
-(``scipy.special.roots_legendre``).  The on-shell part (f1) evaluates that
-average at |k| = n_lambda k0; the off-shell part (f2) additionally performs
-the radial principal-value integral over the mode frequency.
+no phi nodes.  The mu integral is done by Gauss-Legendre.  The on-shell
+part (f1) evaluates that average at |k| = n_lambda k0; the off-shell part
+(f2) additionally performs the radial principal-value integral over the
+mode frequency.  Every Gauss-Legendre rule, polar or radial, comes from
+_legendre_rule (Newton on the three-term recurrence, numpy alone), which
+builds each size once per process.
 
 Both oracles also share one phase kernel.  Every radial grid is made of
 equal-width Gauss-Legendre panels (f1 is a single panel of zero width at
@@ -33,9 +35,9 @@ so the weighted mu sum for a block of panels is one (panels x mu) @
 (mu x panel nodes) matrix product: one exp per panel and polar node
 instead of one per radial node and polar node.  Only the real part of the
 sum is needed, the mu rule is symmetric and the phi average at -mu is the
-conjugate of the one at +mu, so the angular reduction keeps the mu >= 0
-half of the rule with doubled weights, which halves the polar count the
-product sees.
+conjugate of the one at +mu, so the angular reduction keeps the mu > 0
+half of the rule (every polar count is even) with doubled weights, which
+halves the polar count the product sees.
 The kernel works through _PANEL_BLOCK panels at a time, which caps its
 temporaries at _PANEL_BLOCK x n_polar/2 reals.
 
@@ -59,7 +61,8 @@ The pole window is [0, 2] (k/k0), integrated on panels of 16
 Gauss-Legendre points; the tail starts at 2 and has at least 48 segments
 of 10 points, and always reaches at least k/k0 = 50 before acceleration.
 The polar rule has at least 64 and at least 0.55 z + 40 nodes, z the
-largest radial phase argument y k of the grid.  These grids are fixed:
+largest radial phase argument y k of the grid, rounded up to a multiple of
+64 so that few sizes recur across x.  These grids are fixed:
 the refinement check below, not a tuning knob, guards their accuracy.
 
 Each oracle checks itself against a refined pass: f1 (64 polar nodes)
@@ -73,10 +76,10 @@ closed forms in :mod:`chidip.collective`, which are ~10^3 x faster.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .collective import MediumChirality
 from .errors import OracleDivergence
@@ -88,32 +91,59 @@ _HALF_WINDOW = 1.0      # PV window [1 - 1, 1 + 1] around the pole at k/k0 = 1
 _TAIL_START = 1.0 + _HALF_WINDOW
 _TAIL_SEGMENTS = 48     # fewest half-period tail segments of a base pass
 _K_MAX = 50.0           # the tail reaches at least this k/k0
-# Gauss-Legendre rules of the pole panels and of the tail segments, built
-# once; the polar rules depend on x and are built per pass
-_POLE_X, _POLE_W = roots_legendre(16)
-_TAIL_X, _TAIL_W = roots_legendre(10)
+
+
+@functools.cache
+def _legendre_rule(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
+
+    Tricomi's estimates of the nodes x >= 0 take three Newton steps on the
+    three-term recurrence, and one more pass gives P_n' at the polished
+    nodes for the weights 2 / ((1 - x^2) P_n'(x)^2).  The nodes x < 0
+    mirror them, so the rule is exactly symmetric.  Each size is built once
+    per process; the arrays are shared, so they are read-only.
+    """
+    theta = np.pi * (np.arange(n // 2 + 1, n + 1) - 0.25) / (n + 0.5)
+    x = -(1.0 - 1.0 / (8 * n**2) + 1.0 / (8 * n**3)) * np.cos(theta)
+    for step in range(4):
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        if step < 3:
+            x = x - p1 / dp
+    w = 2.0 / ((1.0 - x * x) * dp**2)
+    lower = slice(n % 2, None)  # the node 0 of an odd rule is its own mirror
+    rule = (np.concatenate([-x[lower][::-1], x]),
+            np.concatenate([w[lower][::-1], w]))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+# the rules of the pole panels and of the tail segments
+_POLE_X, _POLE_W = _legendre_rule(16)
+_TAIL_X, _TAIL_W = _legendre_rule(10)
 
 
 # ---------------------------------------------------------------------------
 # angular reduction and phase kernel shared by both oracles
 
 def _reduced_angular(m, g, n_polar):
-    """The mu >= 0 half of the n_polar-point Gauss-Legendre rule and, per
-    helicity, the phi-averaged projected dyadic times the mu weights (polar
-    axis along r_hat).  From the ring moments of the module docstring, that
-    average is
+    """The mu > 0 half of the n_polar-point Gauss-Legendre rule (n_polar
+    even) and, per helicity, the phi-averaged projected dyadic times the mu
+    weights (polar axis along r_hat).  From the ring moments of the module
+    docstring, that average is
 
         d2.d1 - [(1 - mu^2)/2 (d2.d1 - b) + mu^2 b] + s i mu r_hat.(d2 x d1)
 
     with b = (d2.r_hat)(r_hat.d1).  Its value at -mu is the conjugate of
-    its value at +mu and the rule is symmetric (the middle node of an odd
-    rule is exactly 0), so the node at -mu is folded onto +mu: the real part
-    of the full mu sum is the half sum with every weight but the one at
-    mu = 0 doubled.
+    its value at +mu and the rule is symmetric, so the node at -mu is folded
+    onto +mu: the real part of the full mu sum is the half sum with doubled
+    weights.
     """
-    mu, wmu = roots_legendre(n_polar)
-    mu, wmu = mu[n_polar // 2:], wmu[n_polar // 2:]
-    wmu = np.where(mu > 0.0, 2.0, 1.0) * wmu
+    mu, wmu = _legendre_rule(n_polar)
+    mu, wmu = mu[n_polar // 2:], 2.0 * wmu[n_polar // 2:]
     d21 = g.d2_hat @ g.d1_hat
     b = (g.d2_hat @ g.r_hat) * (g.r_hat @ g.d1_hat)
     c = g.r_hat @ np.cross(g.d2_hat, g.d1_hat)
@@ -185,9 +215,11 @@ def _panels(a: float, b: float, n_panels: int):
 def _f2_single(x, m, g, refine=1):
     """One pass of the f2 quadrature; refine = 2 doubles the pole panel and
     tail segment counts of the base pass (refine = 1), and the polar rule,
-    at least refine * _N_POLAR nodes, follows the longer grid."""
+    at least refine * _N_POLAR nodes and a multiple of _N_POLAR, follows the
+    longer grid."""
     counts, z_max = _f2_extents(x, m, refine)
-    n_polar = max(refine * _N_POLAR, int(0.55 * z_max) + 40)
+    n_polar = _N_POLAR * max(refine,
+                             math.ceil((0.55 * z_max + 40) / _N_POLAR))
     mu, weighted = _reduced_angular(m, g, n_polar)
     total = 0.0
     for (s, n), (n_pan, n_seg) in zip(m.channels, counts):
