@@ -293,10 +293,20 @@ def test_f2_oracle_deterministic():
     assert a == b
 
 
-def test_package_runs_on_numpy_alone():
-    # the closed forms, the CLI and the oracle load no third-party package
-    # but numpy, and not numpy.typing (annotations only); what a bare
-    # interpreter loads, such as site hooks, does not count
+def test_package_does_not_load_scipy_integrate():
+    # the I1/I2 quadrature references live in the tests; neither the CLI
+    # nor the mode-sum oracle pulls in scipy's quadrature
+    code = ("import sys, chidip.cli, chidip.oracle; "
+            "print('scipy.integrate' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "False\n"
+
+
+def test_package_and_cli_do_not_load_scipy():
+    # the closed forms, the CLI and the oracle run on numpy alone: they load
+    # no third-party package but numpy, and not numpy.typing (annotations
+    # only); what a bare interpreter loads, such as site hooks, does not count
     code = ("import sys\n"
             "bare = set(sys.modules)\n"
             "import chidip, chidip.cli, chidip.oracle\n"
