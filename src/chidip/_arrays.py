@@ -3,7 +3,8 @@
 The public functions of :mod:`chidip.specfun` and :mod:`chidip.collective`
 take a float or an array of any shape and run one array code path; these
 helpers turn the input into an array, name the first value that fails a
-check, and hand a 0-d result back as a Python float.  :mod:`chidip.geometry`
+check, and hand a 0-d result back as a Python float; ``horner`` evaluates
+the power-series tables of both modules.  :mod:`chidip.geometry`
 and :mod:`chidip.dynamics` take their vectors, separation, rates and times
 through ``as_floats`` too, so that a value of the wrong type raises the
 module's own ChidipError.
@@ -37,3 +38,12 @@ def first_failing(values: np.ndarray, ok) -> float:
 def to_output(result):
     """A Python float for a 0-d result, the array itself otherwise."""
     return result.item() if result.ndim == 0 else result
+
+
+def horner(table, z):
+    """The polynomials of table (highest power first, one row per power) at
+    z; z is shaped by the caller to broadcast against the rows."""
+    acc = table[0]
+    for row in table[1:]:
+        acc = acc * z + row
+    return acc

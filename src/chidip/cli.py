@@ -60,6 +60,9 @@ _FLAGS = {
 }
 _DEFAULT_X = "0.5:10:200"
 _DEFAULT_TIME_GRID = "0:5:200"
+# most points of a START:STOP:POINTS grid; numpy refuses or runs out of
+# memory on grids many orders of magnitude larger
+_MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,9 @@ def _parse_range(text, flag, default_points=None):
                          f"{parts[2]!r}") from None
     if start >= stop:
         raise UsageError(f"{flag}: START must be < STOP, got {text!r}")
-    if points < 2:
-        raise UsageError(f"{flag}: POINTS must be >= 2, got {points}")
+    if not 2 <= points <= _MAX_POINTS:
+        raise UsageError(f"{flag}: POINTS must be in [2, {_MAX_POINTS}], "
+                         f"got {points}")
     return start, stop, points
 
 
@@ -153,7 +157,7 @@ def _read_config(path, allowed):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_floats, first_failing, to_output
+from ._arrays import as_floats, first_failing, horner, to_output
 from .errors import DomainError, InvalidSeparation
 from .geometry import GeometryInvariants
 from .specfun import _aux
@@ -166,15 +166,6 @@ _F2_SERIES = np.array([[-7 / 5760, -1 / 1152, -1 / 5760],
                        [-1.0, -3.0, 1.0]])
 
 
-def _series(y, table):
-    """The three series of table at y, stacked on a new last axis."""
-    y2 = np.square(y)[..., None]
-    acc = table[0]
-    for row in table[1:]:
-        acc = acc * y2 + row
-    return acc
-
-
 def _brackets_direct(y, with_f2):
     sy, cy, u = np.sin(y), np.cos(y), 1.0 / y
     b3 = u * (cy - u * sy)              # cos y/y - sin y/y^2
@@ -189,11 +180,12 @@ def _brackets_direct(y, with_f2):
 
 
 def _brackets_series(y, with_f2):
-    p = _series(y, _F1_SERIES)
+    y2 = np.square(y)[..., None]
+    p = horner(_F1_SERIES, y2)
     b = p[..., 0], p[..., 1], y * p[..., 2]
     if not with_f2:
         return b
-    p = _series(y, _F2_SERIES)
+    p = horner(_F2_SERIES, y2)
     u2 = 1.0 / np.square(y)
     u3 = u2 / y
     return b + (u3 * p[..., 0], u3 * p[..., 1], u2 * p[..., 2])

@@ -8,7 +8,7 @@ The level-shift cross terms need the two Laplace-type integrals
 evaluated at u = n_lambda * x.  Both diverge as u -> 0+ (like 1/u^2 and 1/u)
 and decay as 6/u^4 and 2/u^3 for large u.
 
-They are evaluated with numpy alone, on one of three branches per element:
+They are evaluated with numpy alone, on one of two branches per element:
 
 * u < U_SERIES: the closed forms in Si/Ci,
 
@@ -16,21 +16,17 @@ They are evaluated with numpy alone, on one of three branches per element:
       I2(u) = 1/u   - [  Ci(u) sin u + (pi/2 - Si(u)) cos u ],
 
   with Si and Ci from their power series (A&S 5.2.14, 5.2.16);
-* U_SERIES <= u < U_ASYM: a 64-node Gauss-Laguerre rule on the integrals
-  in t = xi*u,
+* u >= U_SERIES: a 64-node Gauss-Laguerre rule on the integrals in
+  t = xi*u, written in z = 1/u^2,
 
-      I1(u) = u^-4 int_0^inf t^3 e^-t / (1 + t^2/u^2) dt
-      I2(u) = u^-3 int_0^inf t^2 e^-t / (1 + t^2/u^2) dt,
+      I1(u) = z^2     int_0^inf t^3 e^-t / (1 + t^2 z) dt
+      I2(u) = z / u   int_0^inf t^2 e^-t / (1 + t^2 z) dt,
 
-  which cancel nothing (the closed forms lose a factor of about u^2);
-* u >= U_ASYM: 24 terms of the asymptotic series
+  which cancel nothing (the closed forms lose a factor of about u^2) and
+  form no u^2, so nothing overflows up to the end of the float range.
 
-      I1(u) = sum_j (-1)^j (2j+3)! / u^(2j+4)
-      I2(u) = sum_j (-1)^j (2j+2)! / u^(2j+3).
-
-The asymptotic series runs on every element, with U_ASYM standing in for
-the smaller u; the other two branches run on their subsets alone
-(``_aux``).  No branch squares a large u, so none overflows.
+The Laguerre rule runs on every element, with U_SERIES standing in for the
+smaller u; the series runs on its subset alone (``_aux``).
 
 ``aux_i1`` and ``aux_i2`` take a float or an array of u; a float in gives
 float fields out.  Their ``est_abs_error`` is _ERR times the value (times
@@ -56,21 +52,19 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from ._arrays import as_floats, first_failing, to_output
+from ._arrays import as_floats, first_failing, horner, to_output
 from .errors import DomainError
 
-# branch switches and sizes: below U_SERIES the Si/Ci series, below U_ASYM
-# the Gauss-Laguerre rule, from U_ASYM on the asymptotic series
+# branch switch and sizes: below U_SERIES the Si/Ci series, from U_SERIES
+# on the Gauss-Laguerre rule
 U_SERIES = 3.0
-U_ASYM = 50.0
 _N_SERIES = 16    # the last Si/Ci term at u = 3 is below 1e-17
 _N_LAGUERRE = 64  # within 1.5e-15 from u = 3; 48 nodes err by 1e-14 at u = 4
-_N_ASYM = 24      # the first omitted term at u = 50 is below 1e-16 relative
 
 # relative error bound, 128 eps = 2.8e-14: the worst measured against
 # 40-digit mpmath is 68 eps, at u just below U_SERIES, where the closed
-# forms cancel most; the Laguerre rule and the asymptotic series keep
-# within 7 and 3 eps (test_error_bound_holds_against_mpmath)
+# forms cancel most; the Laguerre rule keeps within 7 eps on [3, 1e6]
+# (test_error_bound_holds_against_mpmath)
 _ERR = 128 * float(np.finfo(float).eps)
 
 # smallest u of I1 and I2: u^2 and u still normal, 1/u^2 and 1/u <= 4.5e307
@@ -84,10 +78,6 @@ _U_MIN_I2 = _TINY
 _SICI = np.array([[[(-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1))],
                    [(-1) ** k / (2 * k * math.factorial(2 * k)) if k else 0.0]]
                   for k in reversed(range(_N_SERIES))])
-# u^4 I1(u) and u^3 I2(u) in 1/u^2
-_ASYM = np.array([[[float((-1) ** j * math.factorial(2 * j + 3))],
-                   [float((-1) ** j * math.factorial(2 * j + 2))]]
-                  for j in reversed(range(_N_ASYM))])
 
 
 def _laguerre(t, n):
@@ -132,30 +122,10 @@ class AuxIntegralResult:
     est_abs_error: float | np.ndarray
 
 
-def _horner(table, z):
-    """The series of table at z (1-d), one row of the result per column."""
-    acc = np.empty((table.shape[1], z.size))
-    acc[:] = table[0]
-    for row in table[1:]:
-        acc *= z
-        acc += row
-    return acc
-
-
-def _asymptotic(u):
-    """(I1, I2) rows for u >= U_ASYM, from powers of 1/u alone."""
-    r = 1.0 / u
-    z = r * r
-    acc = _horner(_ASYM, z)
-    acc *= z * r
-    acc[0] *= r
-    return acc
-
-
 def _series(u):
     """(I1, I2) rows for 0 < u < U_SERIES from the Si/Ci closed forms;
     I1 ~ 1/u^2 overflows to inf below sqrt(tiny), silently."""
-    acc = _horner(_SICI, u * u)
+    acc = horner(_SICI, u * u)
     tail = np.pi / 2 - u * acc[0]           # pi/2 - Si(u)
     ci = acc[1] + (np.euler_gamma + np.log(u))
     su, cu = np.sin(u), np.cos(u)
@@ -167,33 +137,33 @@ def _series(u):
 
 
 def _gauss_laguerre(u):
-    """(I1, I2) rows for U_SERIES <= u < U_ASYM from the Laguerre rule,
-    with u^-2 / (1 + t^2/u^2) = 1 / (u^2 + t^2), one row per node.  The
-    nodes are summed by elementwise adds, in the same order for every
-    size of u; a matrix product is not, and an array's elements would
-    then differ from the float calls."""
-    q = _SQUARES + u * u
+    """(I1, I2) rows for u >= U_SERIES from the Laguerre rule, with
+    z = 1/u^2 and one row of q = 1 / (t^2 z + 1) per node.  The nodes are
+    summed by elementwise adds, in the same order for every size of u; a
+    matrix product is not, and an array's elements would then differ from
+    the float calls."""
+    r = 1.0 / u
+    z = r * r
+    q = _SQUARES * z
+    q += 1.0
     np.reciprocal(q, out=q)
     acc = _W_I1_I2[0] * q[0]
     for w, row in zip(_W_I1_I2[1:], q[1:]):
         acc += w * row
-    r = 1.0 / u
-    acc[0] *= r * r
-    acc[1] *= r
+    acc[0] *= z * z
+    acc[1] *= z * r
     return acc
 
 
 def _aux(u):
-    """(I1(u), I2(u)) for an array u > 0 of any shape: the asymptotic
-    series on every element, with U_ASYM standing in for the smaller u,
-    then the series and the Laguerre rule on their subsets alone."""
+    """(I1(u), I2(u)) for an array u > 0 of any shape: the Laguerre rule on
+    every element, with U_SERIES standing in for the smaller u, then the
+    series on the small u alone."""
     v = u.ravel()
-    acc = _asymptotic(np.maximum(v, U_ASYM))
+    acc = _gauss_laguerre(np.maximum(v, U_SERIES))
     small = v < U_SERIES
-    for branch, sub in ((_series, small),
-                        (_gauss_laguerre, ~small & (v < U_ASYM))):
-        if sub.any():
-            acc[:, sub] = branch(v[sub])
+    if small.any():
+        acc[:, small] = _series(v[small])
     return acc[0].reshape(u.shape), acc[1].reshape(u.shape)
 
 

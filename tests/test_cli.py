@@ -228,6 +228,16 @@ def test_config_unknown_key_is_named(tmp_path, capsys):
     assert "n_middle" in err
 
 
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"n_bar=2\n# \xff\n")
+    code, out, err = run_cli(capsys, "sweep", "--scenario", "isotropic",
+                             "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("chidip sweep: cannot read config file")
+
+
 def test_custom_scenario_requires_vectors(capsys):
     code, out, err = run_cli(capsys, "sweep", "--scenario", "custom")
     assert code == 2 and out == "" and "--d1" in err
@@ -273,6 +283,14 @@ def test_reversed_range_rejected(capsys):
         assert "START" in err
 
 
+def test_grid_above_the_points_ceiling_rejected(capsys):
+    # refused before any grid is allocated, with the ceiling named
+    for argv in (("sweep", "--x", "1:2:1000001"),
+                 ("sweep", "--x", "1:2:100000000000000000000"),
+                 ("dynamics", "--x", "2", "--time", "0:1:1000000000000000")):
+        code, out, err = run_cli(capsys, *argv, "--scenario", "isotropic")
+        assert code == 2 and out == ""
+        assert "1000000]" in err
 def test_separation_outside_float_range_names_first_x(capsys):
     code, out, err = run_cli(capsys, "sweep", "--scenario", "isotropic",
                              "--x", "1e-300:1e-299:2")

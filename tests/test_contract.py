@@ -305,6 +305,8 @@ NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 @example(["sweep", "--scenario"])
 @example(["sweep", "--scen", "isotropic"])
 @example(["sweep", "--scenario", "isotropic", "--x=1:2:3"])
+@example(["sweep", "--scenario", "isotropic",
+          "--x", "1:2:100000000000000000000"])
 @example(["sweep", "--scenario", "--x", "1:2:3"])
 @example(["lamb", "--n-bar", "-1", "--lamb-cutoff", "--format"])
 def test_cli_exits_cleanly(argv):

@@ -8,9 +8,7 @@ from numpy.testing import assert_allclose
 
 from chidip import DomainError, aux_i1, aux_i2
 from chidip.specfun import (
-    U_ASYM,
     U_SERIES,
-    _asymptotic,
     _gauss_laguerre,
     _NODES,
     _series,
@@ -35,6 +33,21 @@ def test_large_u_asymptotes():
     for u in (60.0, 120.0, 500.0):
         assert abs(aux_i1(u).value - 6.0 / u**4) < 0.01 * aux_i1(u).value
         assert abs(aux_i2(u).value - 2.0 / u**3) < 0.01 * aux_i2(u).value
+    # the first two asymptotic terms, 6/u^4 (1 - 20/u^2) and
+    # 2/u^3 (1 - 12/u^2), from u = 1e5 up to where the values turn
+    # subnormal (measured within 3 eps); beyond their underflow both are
+    # exactly 0, and no u on the way overflows or warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for aux, top, lead, order, second in ((aux_i1, 76, 6.0, 4, 20.0),
+                                              (aux_i2, 102, 2.0, 3, 12.0)):
+            u = np.logspace(5, top, 400)
+            asym = lead / u**order * (1.0 - second / u**2)
+            assert np.all(np.abs(aux(u).value - asym) <= REL_BOUND * asym)
+        for aux, low in ((aux_i1, 82), (aux_i2, 108)):
+            u = np.concatenate([np.logspace(low, 307, 200), [8.99e307,
+                                                             1.79e308]])
+            assert np.all(aux(u).value == 0.0), aux
 
 
 def test_small_u_divergences():
@@ -72,12 +85,11 @@ def _mpmath_reference(v):
 
 
 def test_error_bound_holds_against_mpmath():
-    # the whole log range, and densely around both branch switches; measured
+    # the whole log range, and densely around the branch switch; measured
     # worst: 68 eps (1.5e-14) just below U_SERIES, where the Si/Ci closed
-    # forms cancel most, 7 eps on the Laguerre rule, 3 eps asymptotically
+    # forms cancel most, 7 eps on the Laguerre rule
     u = np.concatenate([np.logspace(-3, 6, 1500),
-                        np.linspace(U_SERIES - 1.0, U_SERIES + 1.0, 400),
-                        np.linspace(U_ASYM - 5.0, U_ASYM + 5.0, 200)])
+                        np.linspace(U_SERIES - 1.0, U_SERIES + 1.0, 400)])
     got = (aux_i1(u), aux_i2(u))
     worst = 0.0
     for k, v in enumerate(u):
@@ -89,23 +101,22 @@ def test_error_bound_holds_against_mpmath():
 
 
 def test_branches_agree_at_the_switches():
-    # each seam: both branches within the bound of each other, and I1, I2
+    # the seam: both branches within the bound of each other, and I1, I2
     # strictly decreasing on a grid of relative step 1e-12 across it (the
     # values fall by 3e-12 relative a step there)
-    for seam, below, above in ((U_SERIES, _series, _gauss_laguerre),
-                               (U_ASYM, _gauss_laguerre, _asymptotic)):
-        lo, hi = below(np.array([seam])), above(np.array([seam]))
-        assert np.all(np.abs(lo - hi) <= REL_BOUND * hi)
-        u = seam * (1.0 + 1e-12 * np.arange(-50, 51))
-        for aux in (aux_i1, aux_i2):
-            assert np.all(np.diff(aux(u).value) < 0.0), (seam, aux)
+    seam = np.array([U_SERIES])
+    lo, hi = _series(seam), _gauss_laguerre(seam)
+    assert np.all(np.abs(lo - hi) <= REL_BOUND * hi)
+    u = U_SERIES * (1.0 + 1e-12 * np.arange(-50, 51))
+    for aux in (aux_i1, aux_i2):
+        assert np.all(np.diff(aux(u).value) < 0.0), aux
 
 
 def test_array_elements_equal_float_calls():
     # every branch, the Laguerre rule's sum over its nodes included, gives
     # an array's elements bitwise as it gives the float calls
     u = np.concatenate([10 ** np.random.default_rng(5).uniform(-3, 6, 300),
-                        np.linspace(U_SERIES, U_ASYM, 300)])
+                        np.geomspace(U_SERIES, 1e6, 600)])
     for aux in (aux_i1, aux_i2):
         values = aux(u).value
         assert all(aux(float(v)).value == values[k] for k, v in enumerate(u))

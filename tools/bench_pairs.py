@@ -17,7 +17,8 @@ change of the median (positive = better), and the pairs AFTER won (ties
 count for neither).  ``gain`` is true when every run of both sides was
 correct, AFTER failed no more requests than BEFORE, AFTER won at least
 nine tenths of the pairs and the medians differ by more than the distance
-between BEFORE's quartiles.
+between BEFORE's quartiles.  ``worse`` is true when the change of the
+median is below minus the metric's ``bound`` in BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def run_once(checkout: Path, workload: str, seed: int):
 def summarize(runs, metrics):
     """Whether each side's runs were all correct and how many requests they
     failed, and per end-to-end metric: both sides' quartiles, the wins of
-    AFTER and whether they make a gain."""
+    AFTER, whether they make a gain and whether the median got worse
+    beyond the metric's bound."""
     correct = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
     failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     # a change that gets answers wrong or drops requests gains nothing
@@ -63,15 +65,17 @@ def summarize(runs, metrics):
                    for b, a in zip(values["before"], values["after"]))
         q1, med, q3 = quartiles["before"]
         gap = sign * (quartiles["after"][1] - med)
+        change = gap / abs(med) if med else None
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             **{side: {"q1": q[0], "median": q[1], "q3": q[2]}
                for side, q in quartiles.items()},
-            "change": gap / abs(med) if med else None,
+            "change": change,
             "wins": wins,
             "gain": (sound and wins >= 0.9 * len(values["before"])
                      and gap > q3 - q1),
+            "worse": change is not None and change < -metric["bound"],
         }
     return {"correct": correct, "failed": failed, "metrics": out}
 
