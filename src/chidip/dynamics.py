@@ -113,7 +113,7 @@ def _checked_inputs(a_l, a_t, times):
     a_l = complex(a_l)
     if not (cmath.isfinite(a_l) and np.all(np.isfinite(a_t))):
         raise DomainError(f"a_l and a_t must be finite, got {a_l}, {a_t}")
-    re_t = float(np.max(np.abs(a_t.real)))
+    re_t = float(np.max(np.abs(a_t.real), initial=0.0))
     if a_l.real + re_t > 0.0:
         raise UnphysicalRates(
             f"growing mode: Re(a_l)={a_l.real} with |Re(a_t)|={re_t}")
@@ -151,7 +151,7 @@ def interaction_energy_at(a_l: complex, a_t: ArrayLike,
 
     Raises as evolve does: UnphysicalRates if any a_t gives a growing mode,
     DomainError for non-finite rates or a negative or non-finite time, or
-    for more than one time.
+    for more than one time.  An empty a_t gives an empty array.
     """
     a_l, a_t, t = _checked_inputs(a_l, a_t, time)
     if t.size != 1:

@@ -60,15 +60,18 @@ acceleration of an alternating series).
 The pole window is [0, 2] (k/k0), integrated on panels of 16
 Gauss-Legendre points; the tail starts at 2 and has at least 48 segments
 of 10 points, and always reaches at least k/k0 = 50 before acceleration.
-The polar rule has at least 64 and at least 0.55 z + 40 nodes, z the
-largest radial phase argument y k of the grid, rounded up to a multiple of
-64 so that few sizes recur across x.  These grids are fixed:
+Each helicity channel has its own grid and its own polar rule, so the
+value of one channel never depends on the other's index.  The polar rule
+has at least 64 and at least 0.55 z + 40 nodes, z the largest radial
+phase argument y k of the channel's grid, rounded up to a multiple of 64
+so that few sizes recur across x.  These grids are fixed:
 the refinement check below, not a tuning knob, guards their accuracy.
 
 Each oracle checks itself against a refined pass: f1 (64 polar nodes)
 against a rule with 128, f2 against a grid with twice the pole panels
 (half their width), twice the tail segments (so the tail reaches twice as
-far) and the polar rule of that longer grid, never fewer than 128 nodes.
+far) and, per channel, the polar rule of that longer grid, never fewer
+than 128 nodes.
 
 These functions are verification fixtures: production code should use the
 closed forms in :mod:`chidip.collective`, which are ~10^3 x faster.
@@ -83,7 +86,7 @@ import numpy as np
 
 from .collective import MediumChirality
 from .errors import OracleDivergence
-from .geometry import DipoleGeometry
+from .geometry import DipoleGeometry, _separation
 
 _PANEL_BLOCK = 128      # panels per phase-matrix block (memory cap)
 _N_POLAR = 64           # polar nodes of a base pass (f2: at least this)
@@ -129,9 +132,9 @@ _TAIL_X, _TAIL_W = _legendre_rule(10)
 # ---------------------------------------------------------------------------
 # angular reduction and phase kernel shared by both oracles
 
-def _reduced_angular(m, g, n_polar):
+def _reduced_angular(g, s, n_polar):
     """The mu > 0 half of the n_polar-point Gauss-Legendre rule (n_polar
-    even) and, per helicity, the phi-averaged projected dyadic times the mu
+    even) and the phi-averaged projected dyadic of helicity s times the mu
     weights (polar axis along r_hat).  From the ring moments of the module
     docstring, that average is
 
@@ -148,7 +151,7 @@ def _reduced_angular(m, g, n_polar):
     b = (g.d2_hat @ g.r_hat) * (g.r_hat @ g.d1_hat)
     c = g.r_hat @ np.cross(g.d2_hat, g.d1_hat)
     even = d21 - (0.5 * (1.0 - mu**2) * (d21 - b) + mu**2 * b)
-    return mu, {s: wmu * (even + s * 1j * mu * c) for s, _ in m.channels}
+    return mu, wmu * (even + s * 1j * mu * c)
 
 
 def _panel_average(y, mids, half, nodes, mu, weighted):
@@ -176,11 +179,10 @@ def _panel_average(y, mids, half, nodes, mu, weighted):
 # on-shell oracle
 
 def _f1_single(x, m, g, n_polar):
-    mu, weighted = _reduced_angular(m, g, n_polar)
     # one panel of zero half-width at kt = 1
     return sum((3.0 * n / 8.0)
                * float(_panel_average(n * x, np.ones(1), 0.0, np.zeros(1),
-                                      mu, weighted[s])[0, 0])
+                                      *_reduced_angular(g, s, n_polar))[0, 0])
                for s, n in m.channels)
 
 
@@ -192,8 +194,10 @@ def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     geometry object can serve a whole sweep).  The value of the 64-node
     polar rule is checked against a 128-node rule and OracleDivergence is
     raised if the two differ by more than refine_tol; the 64-node value is
-    returned.  Deterministic (fixed shapes and summation order).
+    returned.  Raises InvalidSeparation unless x is one real number > 0
+    and finite.  Deterministic (fixed shapes and summation order).
     """
+    x = _separation(x)
     coarse = _f1_single(x, m, g, _N_POLAR)
     fine = _f1_single(x, m, g, 2 * _N_POLAR)
     if abs(fine - coarse) > refine_tol:
@@ -213,31 +217,34 @@ def _panels(a: float, b: float, n_panels: int):
 
 
 def _f2_single(x, m, g, refine=1):
-    """One pass of the f2 quadrature; refine = 2 doubles the pole panel and
-    tail segment counts of the base pass (refine = 1), and the polar rule,
-    at least refine * _N_POLAR nodes and a multiple of _N_POLAR, follows the
-    longer grid."""
-    counts, z_max = _f2_extents(x, m, refine)
-    n_polar = _N_POLAR * max(refine,
-                             math.ceil((0.55 * z_max + 40) / _N_POLAR))
-    mu, weighted = _reduced_angular(m, g, n_polar)
+    """One pass of the f2 quadrature, one channel at a time; refine = 2
+    doubles the pole panel and tail segment counts of the base pass
+    (refine = 1), and each channel's polar rule, at least refine * _N_POLAR
+    nodes and a multiple of _N_POLAR, follows that channel's longer grid."""
     total = 0.0
-    for (s, n), (n_pan, n_seg) in zip(m.channels, counts):
+    for s, n in m.channels:
         y = n * x
         weight = 3.0 * n / 8.0
+        seg_len = math.pi / y
+        n_pan = refine * max(8, math.ceil(_TAIL_START * y / math.pi))
+        n_seg = refine * max(_TAIL_SEGMENTS,
+                             math.ceil((_K_MAX - _TAIL_START) / seg_len))
+        z = y * (_TAIL_START + n_seg * seg_len)
+        n_polar = _N_POLAR * max(refine,
+                                 math.ceil((0.55 * z + 40) / _N_POLAR))
+        mu, weighted = _reduced_angular(g, s, n_polar)
 
         # q(k) = h(k) 2k/(k+1), h(k) = weight k^3 times the angular average
         def q(mids, half, nodes):
             kt = mids[:, None] + half * nodes
             return (weight * 2.0 * kt**4 / (kt + 1.0)
-                    * _panel_average(y, mids, half, nodes, mu, weighted[s]))
+                    * _panel_average(y, mids, half, nodes, mu, weighted))
 
         fold_mid, fold_half = _panels(0.0, _HALF_WINDOW, n_pan)
         u = fold_mid[:, None] + fold_half * _POLE_X
         fold = q(1.0 + fold_mid, fold_half, _POLE_X) \
             - q(1.0 - fold_mid, -fold_half, _POLE_X)
         pv = float((fold_half * _POLE_W * fold / u).sum())
-        seg_len = math.pi / y
         tail_mid, tail_half = _panels(_TAIL_START,
                                       _TAIL_START + n_seg * seg_len, n_seg)
         k = tail_mid[:, None] + tail_half * _TAIL_X
@@ -250,21 +257,6 @@ def _f2_single(x, m, g, refine=1):
     return total
 
 
-def _f2_extents(x, m, refine):
-    """Per-channel (pole panel, tail segment) counts and the largest radial
-    phase argument; the counts are multiplied by refine after their floors."""
-    counts, z_max = [], 0.0
-    for _, n in m.channels:
-        y = n * x
-        seg_len = math.pi / y
-        n_pan = refine * max(8, math.ceil(_TAIL_START * y / math.pi))
-        n_seg = refine * max(_TAIL_SEGMENTS,
-                             math.ceil((_K_MAX - _TAIL_START) / seg_len))
-        counts.append((n_pan, n_seg))
-        z_max = max(z_max, y * (_TAIL_START + n_seg * seg_len))
-    return counts, z_max
-
-
 def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
               refine_tol: float = 1e-4) -> float:
     """Off-shell coefficient by angular reduction + radial PV quadrature.
@@ -272,11 +264,13 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     The pole window is integrated by symmetric-grid subtraction and the
     oscillatory tail by half-period segmentation with iterated averaging
     (see module docstring).  The value is re-computed on a refined grid:
-    twice the pole panels and tail segments of the base grid, and the polar
-    rule of the refined extent (at least 128 nodes).  OracleDivergence is
-    raised if the two runs differ by more than
-    refine_tol * max(|value|, 0.01).  Returns the base-grid value.
+    twice the pole panels and tail segments of the base grid, and per
+    channel the polar rule of the refined extent (at least 128 nodes).
+    OracleDivergence is raised if the two runs differ by more than
+    refine_tol * max(|value|, 0.01), and InvalidSeparation unless x is one
+    real number > 0 and finite.  Returns the base-grid value.
     """
+    x = _separation(x)
     coarse = _f2_single(x, m, g)
     fine = _f2_single(x, m, g, refine=2)
     drift = abs(fine - coarse)

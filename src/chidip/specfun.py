@@ -25,8 +25,9 @@ They are evaluated with numpy alone, on one of two branches per element:
   which cancel nothing (the closed forms lose a factor of about u^2) and
   form no u^2, so nothing overflows up to the end of the float range.
 
-The Laguerre rule runs on every element, with U_SERIES standing in for the
-smaller u; the series runs on its subset alone (``_aux``).
+Each branch runs on its own subset of the elements alone (``_aux``), and
+the Laguerre rule in blocks of _BLOCK elements, which caps its (nodes x
+elements) temporary.
 
 ``aux_i1`` and ``aux_i2`` take a float or an array of u; a float in gives
 float fields out.  Their ``est_abs_error`` is _ERR times the value (times
@@ -60,6 +61,7 @@ from .errors import DomainError
 U_SERIES = 3.0
 _N_SERIES = 16    # the last Si/Ci term at u = 3 is below 1e-17
 _N_LAGUERRE = 64  # within 1.5e-15 from u = 3; 48 nodes err by 1e-14 at u = 4
+_BLOCK = 4096     # elements per block of the Laguerre rule (memory cap)
 
 # relative error bound, 128 eps = 2.8e-14: the worst measured against
 # 40-digit mpmath is 68 eps, at u just below U_SERIES, where the closed
@@ -137,33 +139,40 @@ def _series(u):
 
 
 def _gauss_laguerre(u):
-    """(I1, I2) rows for u >= U_SERIES from the Laguerre rule, with
-    z = 1/u^2 and one row of q = 1 / (t^2 z + 1) per node.  The nodes are
-    summed by elementwise adds, in the same order for every size of u; a
-    matrix product is not, and an array's elements would then differ from
-    the float calls."""
-    r = 1.0 / u
-    z = r * r
-    q = _SQUARES * z
-    q += 1.0
-    np.reciprocal(q, out=q)
-    acc = _W_I1_I2[0] * q[0]
-    for w, row in zip(_W_I1_I2[1:], q[1:]):
-        acc += w * row
-    acc[0] *= z * z
-    acc[1] *= z * r
+    """(I1, I2) rows for a 1-d u >= U_SERIES from the Laguerre rule, with
+    z = 1/u^2 and one row of q = 1 / (t^2 z + 1) per node, _BLOCK elements
+    at a time.  The nodes are summed by elementwise adds, in the same order
+    for every size of u; a matrix product is not, and an array's elements
+    would then differ from the float calls."""
+    acc = np.empty((2, u.size))
+    # one q buffer for all blocks: a fresh one per block pays its page
+    # faults every time, which doubled the cost of an 8000-element call
+    buffer = np.empty((len(_SQUARES), min(u.size, _BLOCK)))
+    for i in range(0, u.size, _BLOCK):
+        r = 1.0 / u[i:i + _BLOCK]
+        z = r * r
+        q = np.multiply(_SQUARES, z, out=buffer[:, :z.size])
+        q += 1.0
+        np.reciprocal(q, out=q)
+        block = _W_I1_I2[0] * q[0]
+        for w, row in zip(_W_I1_I2[1:], q[1:]):
+            block += w * row
+        block[0] *= z * z
+        block[1] *= z * r
+        acc[:, i:i + _BLOCK] = block
     return acc
 
 
 def _aux(u):
-    """(I1(u), I2(u)) for an array u > 0 of any shape: the Laguerre rule on
-    every element, with U_SERIES standing in for the smaller u, then the
-    series on the small u alone."""
+    """(I1(u), I2(u)) for an array u > 0 of any shape: the series on the
+    elements below U_SERIES, the Laguerre rule on the others."""
     v = u.ravel()
-    acc = _gauss_laguerre(np.maximum(v, U_SERIES))
+    acc = np.empty((2, v.size))
     small = v < U_SERIES
     if small.any():
         acc[:, small] = _series(v[small])
+    if not small.all():
+        acc[:, ~small] = _gauss_laguerre(v[~small])
     return acc[0].reshape(u.shape), acc[1].reshape(u.shape)
 
 

@@ -1,7 +1,9 @@
 """tools/bench_pairs.py: the gain and worse verdicts of its summary, on
-synthetic runs."""
+synthetic runs, and what it writes when a run fails."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -73,3 +75,34 @@ def test_thirty_percent_slower_is_worse():
     summary = bench_pairs.summarize({"before": before, "after": after},
                                     METRICS)
     assert not any(e["worse"] for e in summary["metrics"].values())
+
+
+def test_failed_run_keeps_the_runs_collected_so_far(tmp_path, monkeypatch):
+    # the third run (pair 1, AFTER first) exits 3: the two runs of pair 0
+    # are written with the failed run's record, and main returns 1
+    calls = []
+
+    def run_once(checkout, workload, seed):
+        calls.append(checkout.name)
+        if len(calls) == 3:
+            stderr = "".join(f"line {i}\n" for i in range(30))
+            raise subprocess.CalledProcessError(3, ["run.py"], stderr=stderr)
+        return _run(100.0 + len(calls), 1.0)
+
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "after" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 25, "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    code = bench_pairs.main([str(tmp_path / "before"), str(tmp_path / "after"),
+                             "--workload", "sweep", "dynamics", "--seed", "1",
+                             "--pairs", "4", "--label", "stub"])
+    assert code == 1
+    assert calls == ["before", "after", "after"]
+    result = json.loads((tmp_path / "BENCH_stub.json").read_text())
+    assert result["workloads"] == {"sweep": {"runs": {
+        "before": [_run(101.0, 1.0)], "after": [_run(102.0, 1.0)]}}}
+    assert result["failed_run"] == {
+        "side": "after", "workload": "sweep", "pair": 1, "returncode": 3,
+        "stderr_tail": "\n".join(f"line {i}" for i in range(10, 30))}

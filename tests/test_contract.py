@@ -202,7 +202,8 @@ def test_evolve_gives_finite_amplitudes_or_chidip_error(a_l, a_t, times):
 
 
 @CONTRACT
-@given(RATES, st.lists(RATES, min_size=1, max_size=4), REALS)
+@given(RATES, st.lists(RATES, min_size=0, max_size=4), REALS)
+@example(-0.5, [], 1.0)
 @example("x", [0.1], 1.0)
 @example(-0.5, ["abc"], 1.0)
 @example(-0.5, [0.1], 1j)

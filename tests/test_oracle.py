@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chidip import (
+    InvalidSeparation,
     MediumChirality,
     OracleDivergence,
     f1,
@@ -141,10 +142,11 @@ def test_reduced_angular_matches_frame_built_ring_average():
         e_a, e_b = _transverse_frame(g.r_hat)
         for n_polar in (12, 64):
             mu, wmu = _legendre_rule(n_polar)
-            half_mu, weighted = _reduced_angular(ACTIVE, g, n_polar)
-            assert_allclose(half_mu, roots_legendre(n_polar)[0][n_polar // 2:],
-                            rtol=0, atol=4 * EPS)
             for s, _ in ACTIVE.channels:
+                half_mu, weighted = _reduced_angular(g, s, n_polar)
+                assert_allclose(half_mu,
+                                roots_legendre(n_polar)[0][n_polar // 2:],
+                                rtol=0, atol=4 * EPS)
                 ring = np.array([[
                     g.d2_hat @ _mode_dyadic(
                         math.sqrt(1.0 - u * u)
@@ -152,7 +154,7 @@ def test_reduced_angular_matches_frame_built_ring_average():
                         + u * g.r_hat, s)[3] @ g.d1_hat
                     for p in phi] for u in mu])
                 want = _fold(mu, wmu * ring.mean(axis=1))
-                assert_allclose(weighted[s], want, rtol=0, atol=1e-14)
+                assert_allclose(weighted, want, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +278,26 @@ def test_f2_oracle_helicity_swap_symmetry():
     a = f2_oracle(2.0, ACTIVE, ORTH)
     b = f2_oracle(2.0, swapped, g_flip)
     assert abs(a - b) < 1e-9
+
+
+def test_f2_oracle_channels_are_independent():
+    # each helicity channel has its own grid and polar rule, so exchanging
+    # the n_right of two media leaves the sum of their f2 values unchanged
+    # up to the rounding of the sums
+    for g in (ORTH, ISO):
+        a = (f2_oracle(3.0, MediumChirality(1.0, 3.0), g)
+             + f2_oracle(3.0, MediumChirality(1.2, 2.5), g))
+        b = (f2_oracle(3.0, MediumChirality(1.0, 2.5), g)
+             + f2_oracle(3.0, MediumChirality(1.2, 3.0), g))
+        assert abs(a - b) <= 4 * EPS * abs(b)
+
+
+def test_oracles_refuse_bad_separations():
+    for x in (0.0, -1.0, math.nan, math.inf, np.array([1.0, 2.0]), "1",
+              True):
+        for oracle in (f1_oracle, f2_oracle):
+            with pytest.raises(InvalidSeparation):
+                oracle(x, ACTIVE, ORTH)
 
 
 def test_f2_oracle_divergence_detected():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -7,8 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chidip import DomainError, aux_i1, aux_i2
+from chidip import specfun
 from chidip.specfun import (
     U_SERIES,
+    _aux,
     _gauss_laguerre,
     _NODES,
     _series,
@@ -120,6 +123,38 @@ def test_array_elements_equal_float_calls():
     for aux in (aux_i1, aux_i2):
         values = aux(u).value
         assert all(aux(float(v)).value == values[k] for k, v in enumerate(u))
+
+
+def test_each_branch_runs_on_its_own_elements(monkeypatch):
+    # the Laguerre rule sees only the u >= U_SERIES elements, the series
+    # only the others
+    seen = {}
+    for name in ("_series", "_gauss_laguerre"):
+        def spy(v, name=name, inner=getattr(specfun, name)):
+            seen[name] = seen.get(name, 0) + v.size
+            return inner(v)
+        monkeypatch.setattr(specfun, name, spy)
+    _aux(np.linspace(0.01, 2.9, 1000))
+    assert seen == {"_series": 1000}
+    seen.clear()
+    u = np.linspace(0.01, 5.8, 1000)
+    _aux(u)
+    assert seen == {"_series": np.count_nonzero(u < U_SERIES),
+                    "_gauss_laguerre": np.count_nonzero(u >= U_SERIES)}
+
+
+def test_laguerre_rule_memory_is_blocked():
+    # the (nodes x elements) temporary of the Laguerre rule is built in
+    # blocks: 200000 elements peak at about 10 MB, where one (38 x 200000)
+    # q array alone would take 61 MB
+    u = np.full(200_000, 5.0)
+    tracemalloc.start()
+    try:
+        _aux(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_laguerre_rule_moments():

@@ -19,6 +19,11 @@ correct, AFTER failed no more requests than BEFORE, AFTER won at least
 nine tenths of the pairs and the medians differ by more than the distance
 between BEFORE's quartiles.  ``worse`` is true when the change of the
 median is below minus the metric's ``bound`` in BENCHMARK.json.
+
+A run that exits nonzero ends the measurement: BENCH_<label>.json then
+holds the runs collected so far (the unfinished workload without a
+summary) and ``failed_run``, that run's side, workload, pair, exit code
+and the tail of its stderr, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -33,10 +38,12 @@ import sys
 from pathlib import Path
 
 SIDES = ("before", "after")
+STDERR_LINES = 20   # the stderr lines of a failed run that are kept
 
 
 def run_once(checkout: Path, workload: str, seed: int):
-    """One benchmark run of the checkout; returns its JSON result line."""
+    """One benchmark run of the checkout; returns its JSON result line and
+    raises CalledProcessError if the run exits nonzero."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"),
@@ -106,14 +113,26 @@ def main(argv=None) -> int:
     }
     for workload in args.workload:
         runs = {side: [] for side in SIDES}
-        for k in range(args.pairs):
-            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                line = run_once(checkouts[side], workload, args.seed)
-                runs[side].append(line)
-                print(f"{workload} pair {k} {side}: items_per_s "
-                      f"{line['metrics']['items_per_s']['value']:.6g}, "
-                      f"correct {line['correct']}, failed {line['failed']}",
-                      file=sys.stderr)
+        try:
+            for k in range(args.pairs):
+                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                    line = run_once(checkouts[side], workload, args.seed)
+                    runs[side].append(line)
+                    print(f"{workload} pair {k} {side}: items_per_s "
+                          f"{line['metrics']['items_per_s']['value']:.6g}, "
+                          f"correct {line['correct']}, "
+                          f"failed {line['failed']}", file=sys.stderr)
+        except subprocess.CalledProcessError as err:
+            result["workloads"][workload] = {"runs": runs}
+            result["failed_run"] = {
+                "side": side, "workload": workload, "pair": k,
+                "returncode": err.returncode,
+                "stderr_tail": "\n".join(
+                    (err.stderr or "").splitlines()[-STDERR_LINES:]),
+            }
+            print(f"{workload} pair {k} {side}: exit {err.returncode}",
+                  file=sys.stderr)
+            break
         result["workloads"][workload] = {
             "summary": summarize(runs, spec["end_to_end"]),
             "runs": runs,
@@ -121,7 +140,7 @@ def main(argv=None) -> int:
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(path)
-    return 0
+    return 1 if "failed_run" in result else 0
 
 
 if __name__ == "__main__":
