@@ -26,20 +26,21 @@ _legendre_rule (Newton on the three-term recurrence, numpy alone), which
 builds each size once per process.
 
 Both oracles also share one phase kernel.  Every radial grid is made of
-equal-width Gauss-Legendre panels (f1 is a single panel of zero width at
-k = 1), and at the node mid_p + h xi_l of panel p the phase factors as
+P equal-width Gauss-Legendre panels (f1 is a single panel of zero width at
+k = 1), mid_p = mid_0 + 2 h p, and at the node mid_p + h xi_l of panel p
+the phase factors as
 
-    exp(i y (mid_p + h xi_l) mu_j) = exp(i y mid_p mu_j) exp(i y h xi_l mu_j),
+    exp(i y (mid_p + h xi_l) mu_j) = exp(i y mid_p mu_j) exp(i y h xi_l mu_j).
 
-so the weighted mu sum for a block of panels is one (panels x mu) @
-(mu x panel nodes) matrix product: one exp per panel and polar node
-instead of one per radial node and polar node.  Only the real part of the
-sum is needed, the mu rule is symmetric and the phi average at -mu is the
-conjugate of the one at +mu, so the angular reduction keeps the mu > 0
-half of the rule (every polar count is even) with doubled weights, which
-halves the polar count the product sees.
-The kernel works through _PANEL_BLOCK panels at a time, which caps its
-temporaries at _PANEL_BLOCK x n_polar/2 reals.
+With p = b B + j in blocks of b = ceil(sqrt(P)) panels, exp(i y mid_p mu_j)
+is the block's start phase exp(i y mid_bB mu_j), folded into the (mu x
+panel nodes) matrix, times the offset phase exp(i y 2 h j mu_j), one (b x
+mu) matrix for every block: about 2 sqrt(P) phases per polar node instead
+of P, and temporaries of O(sqrt(P) n_polar + n_polar L) reals.  Only the
+real part of the sum is needed, the mu rule is symmetric and the phi
+average at -mu is the conjugate of the one at +mu, so the angular
+reduction keeps the mu > 0 half of the rule (every polar count is even)
+with doubled weights, which halves the polar count the product sees.
 
 Normalization is fixed analytically by the calibration limit: an inactive
 medium with parallel dipoles must give n_bar/2 as x -> 0, which pins the
@@ -55,8 +56,8 @@ integrand on every grid.  It grows ~k with undamped oscillation and is
 only Abel summable, so a fixed truncation can never converge; instead the
 pole window is integrated by symmetric-grid subtraction (exact PV fold of
 q), and beyond the window the tail is accumulated in half-period segments
-that are then contracted by iterated pairwise averaging (Euler/Cesaro
-acceleration of an alternating series).
+whose n partial sums are contracted to their binomial mean, weights
+C(n-1, k) / 2^(n-1) (Euler acceleration of an alternating series).
 The pole window is [0, 2] (k/k0), integrated on panels of 16
 Gauss-Legendre points; the tail starts at 2 and has at least 48 segments
 of 10 points, and always reaches at least k/k0 = 50 before acceleration.
@@ -88,7 +89,6 @@ from .collective import MediumChirality
 from .errors import OracleDivergence
 from .geometry import DipoleGeometry, _separation
 
-_PANEL_BLOCK = 128      # panels per phase-matrix block (memory cap)
 _N_POLAR = 64           # polar nodes of a base pass (f2: at least this)
 _HALF_WINDOW = 1.0      # PV window [1 - 1, 1 + 1] around the pole at k/k0 = 1
 _TAIL_START = 1.0 + _HALF_WINDOW
@@ -154,25 +154,27 @@ def _reduced_angular(g, s, n_polar):
     return mu, wmu * (even + s * 1j * mu * c)
 
 
-def _panel_average(y, mids, half, nodes, mu, weighted):
+def _panel_average(y, mid0, half, n_panels, nodes, mu, weighted):
     """Re of the (dOmega/4pi) angular average sum_j weighted[j]
-    exp(i y kt mu[j]) / 2 at every radial factor kt = mids[p] + half *
-    nodes[l] of a grid of equal-width panels; returns the (P x L) values.
-    mu and weighted are the folded half rule of _reduced_angular.
-
-    exp(i y kt mu) = exp(i y mids[p] mu) exp(i y half nodes[l] mu), so the
-    mu sum over a block of panels is one (P x J) @ (J x L) product with one
-    phase per panel and polar node.
+    exp(i y kt mu[j]) / 2 at every radial factor kt = mid0 + 2 half p +
+    half nodes[l], p < n_panels, of a grid from _panels; returns the (P x L)
+    values.  mu and weighted are the folded half rule of _reduced_angular.
+    Block B of b = ceil(sqrt(P)) panels is the (b x J) @ (J x L) product of
+    the offset phases exp(i y 2 half j mu) and the node matrix times the
+    block's start phases exp(i y mid_bB mu) (module docstring).
     """
-    inner = (weighted[:, None]
+    inner = (0.5 * weighted[:, None]
              * np.exp(1j * y * half * np.multiply.outer(mu, nodes)))
-    inner_re, inner_im = inner.real.copy(), inner.imag.copy()
-    out = np.empty((mids.size, nodes.size))
-    for i in range(0, mids.size, _PANEL_BLOCK):
-        arg = y * np.multiply.outer(mids[i:i + _PANEL_BLOCK], mu)
-        out[i:i + _PANEL_BLOCK] = 0.5 * (np.cos(arg) @ inner_re
-                                         - np.sin(arg) @ inner_im)
-    return out
+    block = math.isqrt(n_panels - 1) + 1            # ceil(sqrt(P))
+    offset = y * np.multiply.outer(2.0 * half * np.arange(block), mu)
+    off_re, off_im = np.cos(offset), np.sin(offset, out=offset)
+    starts = mid0 + 2.0 * half * np.arange(0, n_panels, block)
+    out = np.empty((starts.size, block, nodes.size))
+    for start, rows in zip(starts, out):
+        folded = np.exp(1j * y * start * mu)[:, None] * inner
+        np.matmul(off_re, folded.real, out=rows)
+        rows -= off_im @ folded.imag
+    return out.reshape(-1, nodes.size)[:n_panels]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,7 @@ def _panel_average(y, mids, half, nodes, mu, weighted):
 def _f1_single(x, m, g, n_polar):
     # one panel of zero half-width at kt = 1
     return sum((3.0 * n / 8.0)
-               * float(_panel_average(n * x, np.ones(1), 0.0, np.zeros(1),
+               * float(_panel_average(n * x, 1.0, 0.0, 1, np.zeros(1),
                                       *_reduced_angular(g, s, n_polar))[0, 0])
                for s, n in m.channels)
 
@@ -211,9 +213,20 @@ def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
 # off-shell (principal value) oracle
 
 def _panels(a: float, b: float, n_panels: int):
-    """Midpoints and the common half-width of n equal panels on [a, b]."""
+    """First midpoint, common half-width and count of n equal panels on
+    [a, b], the grid of _panel_average."""
     half = 0.5 * (b - a) / n_panels
-    return a + half * (2.0 * np.arange(n_panels) + 1.0), half
+    return a + half, half, n_panels
+
+
+def _euler_weights(n):
+    """C(n-1, k) / 2^(n-1), k < n: n - 1 rounds of pairwise averaging of n
+    partial sums as one dot.  The centre weight is correctly rounded, the
+    rest follow by the ratios (n-1-k)/(k+1), mirrored: exactly symmetric."""
+    k = np.arange(n // 2, n - 1)
+    upper = np.cumprod(np.concatenate(
+        [[math.comb(n - 1, n // 2) / 2 ** (n - 1)], (n - 1 - k) / (k + 1)]))
+    return np.concatenate([upper[::-1], upper[n % 2:]])
 
 
 def _f2_single(x, m, g, refine=1):
@@ -234,26 +247,23 @@ def _f2_single(x, m, g, refine=1):
                                  math.ceil((0.55 * z + 40) / _N_POLAR))
         mu, weighted = _reduced_angular(g, s, n_polar)
 
-        # q(k) = h(k) 2k/(k+1), h(k) = weight k^3 times the angular average
-        def q(mids, half, nodes):
-            kt = mids[:, None] + half * nodes
-            return (weight * 2.0 * kt**4 / (kt + 1.0)
-                    * _panel_average(y, mids, half, nodes, mu, weighted))
+        # the nodes k of a grid and q(k) = h(k) 2k/(k+1) at them, h(k) =
+        # weight k^3 times the angular average
+        def q(mid0, half, n_panels, nodes):
+            mids = mid0 + 2.0 * half * np.arange(n_panels)
+            k = mids[:, None] + half * nodes
+            return k, (weight * 2.0 * k**4 / (k + 1.0) * _panel_average(
+                y, mid0, half, n_panels, nodes, mu, weighted))
 
-        fold_mid, fold_half = _panels(0.0, _HALF_WINDOW, n_pan)
-        u = fold_mid[:, None] + fold_half * _POLE_X
-        fold = q(1.0 + fold_mid, fold_half, _POLE_X) \
-            - q(1.0 - fold_mid, -fold_half, _POLE_X)
-        pv = float((fold_half * _POLE_W * fold / u).sum())
-        tail_mid, tail_half = _panels(_TAIL_START,
-                                      _TAIL_START + n_seg * seg_len, n_seg)
-        k = tail_mid[:, None] + tail_half * _TAIL_X
-        seg_vals = (tail_half * _TAIL_W * q(tail_mid, tail_half, _TAIL_X)
-                    / (k - 1.0))
-        partial = np.cumsum(seg_vals.sum(axis=1))
-        while partial.size > 1:
-            partial = 0.5 * (partial[:-1] + partial[1:])
-        total += (pv + float(partial[0])) / math.pi
+        # node (p, l) of the window's upper half mirrors (-1-p, -1-l) about 1
+        pole = _panels(1.0 - _HALF_WINDOW, 1.0 + _HALF_WINDOW, 2 * n_pan)
+        k, q_pole = q(*pole, _POLE_X)
+        fold = q_pole[n_pan:] - q_pole[n_pan - 1::-1, ::-1]
+        pv = float((pole[1] * _POLE_W * fold / (k[n_pan:] - 1.0)).sum())
+        tail = _panels(_TAIL_START, _TAIL_START + n_seg * seg_len, n_seg)
+        k, q_tail = q(*tail, _TAIL_X)
+        partial = np.cumsum((tail[1] * _TAIL_W * q_tail / (k - 1.0)).sum(1))
+        total += (pv + float(_euler_weights(n_seg) @ partial)) / math.pi
     return total
 
 
@@ -262,7 +272,7 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     """Off-shell coefficient by angular reduction + radial PV quadrature.
 
     The pole window is integrated by symmetric-grid subtraction and the
-    oscillatory tail by half-period segmentation with iterated averaging
+    oscillatory tail by half-period segmentation with Euler's binomial mean
     (see module docstring).  The value is re-computed on a refined grid:
     twice the pole panels and tail segments of the base grid, and per
     channel the polar rule of the refined extent (at least 128 nodes).

@@ -19,6 +19,7 @@ from chidip.specfun import aux_i1, aux_i2
 from scipy.special import roots_legendre
 
 from chidip.oracle import (
+    _euler_weights,
     _legendre_rule,
     _panel_average,
     _reduced_angular,
@@ -161,9 +162,12 @@ def test_reduced_angular_matches_frame_built_ring_average():
 # the panel-factored phase kernel
 
 def test_panel_average_matches_direct_node_sum():
-    # the factored (P x J) @ (J x L) product over the mu >= 0 half of the
+    # the blocked (b x J) @ (J x L) products over the mu >= 0 half of the
     # rule, with folded weights, against one exp per radial node and polar
-    # node of the full rule whose weights satisfy w(-mu) = conj w(mu)
+    # node of the full rule whose weights satisfy w(-mu) = conj w(mu), on
+    # grids of equal panels running up (half > 0) and down (half < 0); the
+    # panel counts give one block of one panel, one block of two, full
+    # blocks (a square), a short last block (a square + 1) and 299 panels
     rng = np.random.default_rng(24)
     for n_polar, n_gl in ((8, 4), (31, 10), (64, 16), (301, 10), (1200, 16)):
         mu, wmu = roots_legendre(n_polar)
@@ -174,18 +178,41 @@ def test_panel_average_matches_direct_node_sum():
             upper[0] = upper[0].real
         weighted = np.concatenate([upper[n_polar % 2:][::-1].conj(), upper])
         nodes, _ = roots_legendre(n_gl)
-        for _ in range(3):
-            y = rng.uniform(0.5, 20.0)
-            n_panels = int(rng.integers(1, 300))
-            half = rng.uniform(-1.0, 1.0) * math.pi / y
-            mids = rng.uniform(0.0, 2000.0 / y, size=n_panels)
-            got = _panel_average(y, mids, half, nodes, mu[lo:],
-                                 _fold(mu, weighted))
-            kt = mids[:, None] + half * nodes
-            phase = np.exp(1j * y * np.multiply.outer(kt, mu))
-            want = 0.5 * (phase @ weighted).real
-            assert got.shape == (n_panels, n_gl)
-            assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for n_panels in (1, 2, 49, 50, 299):
+            for sign in (1.0, -1.0):
+                y = rng.uniform(0.5, 20.0)
+                half = sign * rng.uniform(0.0, 1.0) * math.pi / y
+                mid0 = rng.uniform(0.0, 2000.0 / y)
+                got = _panel_average(y, mid0, half, n_panels, nodes, mu[lo:],
+                                     _fold(mu, weighted))
+                kt = ((mid0 + 2.0 * half * np.arange(n_panels))[:, None]
+                      + half * nodes)
+                phase = np.exp(1j * y * np.multiply.outer(kt, mu))
+                want = 0.5 * (phase @ weighted).real
+                assert got.shape == (n_panels, n_gl)
+                assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_euler_weights_are_iterated_pairwise_averaging():
+    # the binomial weights C(n-1, k) / 2^(n-1) are exactly symmetric, each
+    # within 16 eps of its correctly rounded value or below 1e-300 (the
+    # product of the ratios drifts by some eps towards the ends: 6.8 eps at
+    # n = 2400), and their dot with n partial sums of an alternating series
+    # matches n - 1 rounds of pairwise averaging, the reference loop
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 3, 48, 49, 596, 2400):
+        w = _euler_weights(n)
+        assert w.shape == (n,) and np.array_equal(w, w[::-1])
+        exact = [math.comb(n - 1, k) / 2 ** (n - 1) for k in range(n)]
+        assert_allclose(w, exact, rtol=16 * EPS, atol=1e-300)
+        for _ in range(5):
+            partial = np.cumsum((-1.0) ** np.arange(n)
+                                * rng.uniform(0.5, 2.0, size=n))
+            averaged = partial
+            while averaged.size > 1:
+                averaged = 0.5 * (averaged[:-1] + averaged[1:])
+            assert abs(w @ partial - averaged[0]) \
+                <= 1e-15 * np.max(np.abs(partial))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +282,18 @@ def test_f2_oracle_matches_closed_form():
         want = f2(x, m, geometry_factors(geo))
         got = f2_oracle(x, m, geo)
         assert abs(got - want) / max(abs(want), 0.01) < 1e-3
+
+
+def test_f2_oracle_matches_closed_form_on_multi_block_grids():
+    # at x = 20 and 50 the tail grids have 306 to 4584 panels (and the Euler
+    # mean as many partial sums) in 18 to 68 blocks of the phase kernel; A7
+    # samples only x <= 4
+    m = MediumChirality(1.0, 3.0)
+    for x in (20.0, 50.0):
+        for g in (ORTH, ISO):
+            want = f2(x, m, geometry_factors(g))
+            assert abs(f2_oracle(x, m, g) - want) <= 1e-10 * max(abs(want),
+                                                                 0.01)
 
 
 def test_f2_oracle_isolates_nonresonant_term():
