@@ -61,17 +61,20 @@ C(n-1, k) / 2^(n-1) (Euler acceleration of an alternating series).
 The pole window is [0, 2] (k/k0), integrated on panels of 16
 Gauss-Legendre points; the tail starts at 2 and has at least 48 segments
 of 10 points, and always reaches at least k/k0 = 50 before acceleration.
-Each helicity channel has its own grid and its own polar rule, so the
-value of one channel never depends on the other's index.  The polar rule
+Each distinct index has its own grid and its own polar rule, so the value
+of one channel never depends on the other's index.  The projected dyadic
+is linear in s, so the channels of one index (both, in an inactive
+medium) are one pass with the summed weights, and their helicity terms
+cancel exactly.  The polar rule
 has at least 64 and at least 0.55 z + 40 nodes, z the largest radial
-phase argument y k of the channel's grid, rounded up to a multiple of 64
+phase argument y k of the index's grid, rounded up to a multiple of 64
 so that few sizes recur across x.  These grids are fixed:
 the refinement check below, not a tuning knob, guards their accuracy.
 
 Each oracle checks itself against a refined pass: f1 (64 polar nodes)
 against a rule with 128, f2 against a grid with twice the pole panels
 (half their width), twice the tail segments (so the tail reaches twice as
-far) and, per channel, the polar rule of that longer grid, never fewer
+far) and, per index, the polar rule of that longer grid, never fewer
 than 128 nodes.
 
 These functions are verification fixtures: production code should use the
@@ -132,26 +135,42 @@ _TAIL_X, _TAIL_W = _legendre_rule(10)
 # ---------------------------------------------------------------------------
 # angular reduction and phase kernel shared by both oracles
 
-def _reduced_angular(g, s, n_polar):
+def _ring(g):
+    """The invariants d2.d1, b = (d2.r_hat)(r_hat.d1) and c = r_hat.(d2 x d1)
+    of the projected dyadic's ring average, once per oracle call."""
+    return (g.d2_hat @ g.d1_hat, (g.d2_hat @ g.r_hat) * (g.r_hat @ g.d1_hat),
+            g.r_hat @ np.cross(g.d2_hat, g.d1_hat))
+
+
+def _by_index(m):
+    """Each distinct index of m mapped to its channels' helicities, in
+    channel order (an inactive medium: {n: (1.0, -1.0)})."""
+    groups = {}
+    for s, n in m.channels:
+        groups[n] = groups.get(n, ()) + (s,)
+    return groups
+
+
+def _reduced_angular(inv, hel, n_polar):
     """The mu > 0 half of the n_polar-point Gauss-Legendre rule (n_polar
-    even) and the phi-averaged projected dyadic of helicity s times the mu
-    weights (polar axis along r_hat).  From the ring moments of the module
-    docstring, that average is
+    even) and the phi-averaged projected dyadic, summed over the helicities
+    hel of one index's channels, times the mu weights (polar axis along
+    r_hat).  With inv = (d2.d1, b, c) from _ring, the ring moments of the
+    module docstring give for helicity s
 
-        d2.d1 - [(1 - mu^2)/2 (d2.d1 - b) + mu^2 b] + s i mu r_hat.(d2 x d1)
+        d2.d1 - [(1 - mu^2)/2 (d2.d1 - b) + mu^2 b] + s i mu c,
 
-    with b = (d2.r_hat)(r_hat.d1).  Its value at -mu is the conjugate of
-    its value at +mu and the rule is symmetric, so the node at -mu is folded
-    onto +mu: the real part of the full mu sum is the half sum with doubled
-    weights.
+    linear in s: the sum is len(hel) times the even part plus sum(hel)
+    times the helicity term, which hel = (1.0, -1.0) cancels exactly.  Its
+    value at -mu is the conjugate of its value at +mu and the rule is
+    symmetric, so the node at -mu is folded onto +mu: the real part of the
+    full mu sum is the half sum with doubled weights.
     """
     mu, wmu = _legendre_rule(n_polar)
     mu, wmu = mu[n_polar // 2:], 2.0 * wmu[n_polar // 2:]
-    d21 = g.d2_hat @ g.d1_hat
-    b = (g.d2_hat @ g.r_hat) * (g.r_hat @ g.d1_hat)
-    c = g.r_hat @ np.cross(g.d2_hat, g.d1_hat)
+    d21, b, c = inv
     even = d21 - (0.5 * (1.0 - mu**2) * (d21 - b) + mu**2 * b)
-    return mu, wmu * (even + s * 1j * mu * c)
+    return mu, wmu * (len(hel) * even + sum(hel) * 1j * mu * c)
 
 
 def _panel_average(y, mid0, half, n_panels, nodes, mu, weighted):
@@ -180,12 +199,12 @@ def _panel_average(y, mid0, half, n_panels, nodes, mu, weighted):
 # ---------------------------------------------------------------------------
 # on-shell oracle
 
-def _f1_single(x, m, g, n_polar):
-    # one panel of zero half-width at kt = 1
-    return sum((3.0 * n / 8.0)
-               * float(_panel_average(n * x, 1.0, 0.0, 1, np.zeros(1),
-                                      *_reduced_angular(g, s, n_polar))[0, 0])
-               for s, n in m.channels)
+def _f1_single(x, m, inv, n_polar):
+    # one panel of zero half-width at kt = 1, one pass per distinct index
+    return sum((3.0 * n / 8.0) * float(_panel_average(
+        n * x, 1.0, 0.0, 1, np.zeros(1),
+        *_reduced_angular(inv, hel, n_polar))[0, 0])
+        for n, hel in _by_index(m).items())
 
 
 def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
@@ -200,8 +219,9 @@ def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     and finite.  Deterministic (fixed shapes and summation order).
     """
     x = _separation(x)
-    coarse = _f1_single(x, m, g, _N_POLAR)
-    fine = _f1_single(x, m, g, 2 * _N_POLAR)
+    inv = _ring(g)
+    coarse = _f1_single(x, m, inv, _N_POLAR)
+    fine = _f1_single(x, m, inv, 2 * _N_POLAR)
     if abs(fine - coarse) > refine_tol:
         raise OracleDivergence(
             f"f1 quadrature drift {abs(fine - coarse):.3e} > {refine_tol:.1e} "
@@ -229,13 +249,13 @@ def _euler_weights(n):
     return np.concatenate([upper[::-1], upper[n % 2:]])
 
 
-def _f2_single(x, m, g, refine=1):
-    """One pass of the f2 quadrature, one channel at a time; refine = 2
-    doubles the pole panel and tail segment counts of the base pass
-    (refine = 1), and each channel's polar rule, at least refine * _N_POLAR
-    nodes and a multiple of _N_POLAR, follows that channel's longer grid."""
+def _f2_single(x, m, inv, refine=1):
+    """One pass of the f2 quadrature, one distinct index at a time; refine
+    = 2 doubles the pole panel and tail segment counts of the base pass
+    (refine = 1), and each index's polar rule, at least refine * _N_POLAR
+    nodes and a multiple of _N_POLAR, follows that index's longer grid."""
     total = 0.0
-    for s, n in m.channels:
+    for n, hel in _by_index(m).items():
         y = n * x
         weight = 3.0 * n / 8.0
         seg_len = math.pi / y
@@ -245,7 +265,7 @@ def _f2_single(x, m, g, refine=1):
         z = y * (_TAIL_START + n_seg * seg_len)
         n_polar = _N_POLAR * max(refine,
                                  math.ceil((0.55 * z + 40) / _N_POLAR))
-        mu, weighted = _reduced_angular(g, s, n_polar)
+        mu, weighted = _reduced_angular(inv, hel, n_polar)
 
         # the nodes k of a grid and q(k) = h(k) 2k/(k+1) at them, h(k) =
         # weight k^3 times the angular average
@@ -275,14 +295,15 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     oscillatory tail by half-period segmentation with Euler's binomial mean
     (see module docstring).  The value is re-computed on a refined grid:
     twice the pole panels and tail segments of the base grid, and per
-    channel the polar rule of the refined extent (at least 128 nodes).
+    index the polar rule of the refined extent (at least 128 nodes).
     OracleDivergence is raised if the two runs differ by more than
     refine_tol * max(|value|, 0.01), and InvalidSeparation unless x is one
     real number > 0 and finite.  Returns the base-grid value.
     """
     x = _separation(x)
-    coarse = _f2_single(x, m, g)
-    fine = _f2_single(x, m, g, refine=2)
+    inv = _ring(g)
+    coarse = _f2_single(x, m, inv)
+    fine = _f2_single(x, m, inv, refine=2)
     drift = abs(fine - coarse)
     scale = max(abs(fine), 0.01)
     if drift > refine_tol * scale:

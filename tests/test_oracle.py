@@ -23,6 +23,7 @@ from chidip.oracle import (
     _legendre_rule,
     _panel_average,
     _reduced_angular,
+    _ring,
     f1_oracle,
     f2_oracle,
 )
@@ -144,7 +145,7 @@ def test_reduced_angular_matches_frame_built_ring_average():
         for n_polar in (12, 64):
             mu, wmu = _legendre_rule(n_polar)
             for s, _ in ACTIVE.channels:
-                half_mu, weighted = _reduced_angular(g, s, n_polar)
+                half_mu, weighted = _reduced_angular(_ring(g), (s,), n_polar)
                 assert_allclose(half_mu,
                                 roots_legendre(n_polar)[0][n_polar // 2:],
                                 rtol=0, atol=4 * EPS)
@@ -156,6 +157,22 @@ def test_reduced_angular_matches_frame_built_ring_average():
                     for p in phi] for u in mu])
                 want = _fold(mu, wmu * ring.mean(axis=1))
                 assert_allclose(weighted, want, rtol=0, atol=1e-14)
+
+
+def test_reduced_angular_is_linear_in_helicity():
+    # the channels of one index are one pass: the weights of (1.0, -1.0)
+    # are the sum of the weights of (1.0,) and (-1.0,) up to rounding, and
+    # their mu nodes are the same
+    rng = np.random.default_rng(26)
+    for _ in range(5):
+        inv = _ring(_random_geometry(rng))
+        for n_polar in (64, 128, 576):
+            mu, both = _reduced_angular(inv, (1.0, -1.0), n_polar)
+            mu_l, left = _reduced_angular(inv, (1.0,), n_polar)
+            mu_r, right = _reduced_angular(inv, (-1.0,), n_polar)
+            assert np.array_equal(mu, mu_l) and np.array_equal(mu, mu_r)
+            assert np.max(np.abs(both - (left + right))) \
+                <= 4 * EPS * np.max(np.abs([left, right]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +346,33 @@ def test_f2_oracle_channels_are_independent():
         b = (f2_oracle(3.0, MediumChirality(1.0, 2.5), g)
              + f2_oracle(3.0, MediumChirality(1.2, 3.0), g))
         assert abs(a - b) <= 4 * EPS * abs(b)
+
+
+def test_oracles_see_helicity_only_in_an_active_medium():
+    # the paper's contrast: with n_L = n_R the helicity terms of the two
+    # channels cancel exactly, so the orthogonal-perpendicular pair has no
+    # resonance interaction from either oracle, and flipping the axis, which
+    # flips c only, changes no bit of either oracle; an active medium gives
+    # the same pair an f2 that A7's tolerance separates from zero
+    rng = np.random.default_rng(28)
+    for m in (VACUUM, INACTIVE3, MediumChirality(1.7, 1.7)):
+        for x in (0.5, 2.0, 5.0):
+            for oracle in (f1_oracle, f2_oracle):
+                assert oracle(x, m, ORTH) == 0.0
+                assert oracle(x, m, ORTH_DOWN) == 0.0
+    for _ in range(3):
+        d1, d2, axis = rng.normal(size=(3, 3))
+        g = normalize_geometry(d1, d2, axis, 1.0)
+        g_flip = normalize_geometry(d1, d2, -axis, 1.0)
+        inv, inv_flip = geometry_factors(g), geometry_factors(g_flip)
+        assert (inv_flip.a, inv_flip.b, inv_flip.c) == (inv.a, inv.b, -inv.c)
+        for oracle in (f1_oracle, f2_oracle):
+            assert oracle(2.0, INACTIVE3, g) == oracle(2.0, INACTIVE3, g_flip)
+    for x in (1.0, 2.0, 4.0):
+        want = f2(x, ACTIVE, geometry_factors(ORTH))
+        got = f2_oracle(x, ACTIVE, ORTH)
+        tol = 1e-3 * max(abs(want), 0.01)
+        assert abs(got - want) <= tol < abs(got)
 
 
 def test_oracles_refuse_bad_separations():
