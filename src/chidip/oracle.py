@@ -34,9 +34,16 @@ the phase factors as
 
 With p = b B + j in blocks of b = ceil(sqrt(P)) panels, exp(i y mid_p mu_j)
 is the block's start phase exp(i y mid_bB mu_j), folded into the (mu x
-panel nodes) matrix, times the offset phase exp(i y 2 h j mu_j), one (b x
-mu) matrix for every block: about 2 sqrt(P) phases per polar node instead
-of P, and temporaries of O(sqrt(P) n_polar + n_polar L) reals.  Only the
+panel nodes) matrix, times the offset phase step^j, step = exp(i y 2 h
+mu_j), one (b x mu) matrix for every block.  The phases come from
+multiplication ladders.  The offsets double: rows 1 to 2^k times
+step^(2^k) give rows 2^k + 1 to 2^(k+1), so row j carries about log2(j)
+roundings (a running product carries j, and made the f2 oracle's rounding
+error against phases taken in long double about twice as large).  Each
+block's start is the previous one times step^b.  A grid's panel phases
+thus take two exps per polar node, the step and the first start, where
+a direct sum takes P, and temporaries of O(sqrt(P) n_polar + n_polar L)
+reals.  Only the
 real part of the sum is needed, the mu rule is symmetric and the phi
 average at -mu is the conjugate of the one at +mu, so the angular
 reduction keeps the mu > 0 half of the rule (every polar count is even)
@@ -61,21 +68,22 @@ C(n-1, k) / 2^(n-1) (Euler acceleration of an alternating series).
 The pole window is [0, 2] (k/k0), integrated on panels of 16
 Gauss-Legendre points; the tail starts at 2 and has at least 48 segments
 of 10 points, and always reaches at least k/k0 = 50 before acceleration.
-Each distinct index has its own grid and its own polar rule, so the value
-of one channel never depends on the other's index.  The projected dyadic
-is linear in s, so the channels of one index (both, in an inactive
-medium) are one pass with the summed weights, and their helicity terms
-cancel exactly.  The polar rule
-has at least 64 and at least 0.55 z + 40 nodes, z the largest radial
-phase argument y k of the index's grid, rounded up to a multiple of 64
-so that few sizes recur across x.  These grids are fixed:
-the refinement check below, not a tuning knob, guards their accuracy.
+Each distinct index has its own grids and polar rules, so the value of
+one channel never depends on the other's index.  The projected dyadic is
+linear in s, so the channels of one index (both, in an inactive medium)
+are one pass with the summed weights, and their helicity terms cancel
+exactly.  Each radial grid has its own polar rule, with at least 64 and
+at least 0.55 z + 40 nodes, z the grid's largest phase argument y k,
+rounded up to a multiple of 64 so that few sizes recur across x: the
+window's z is 2y (it ends at k/k0 = 2), the tail's is y times its far
+end.  These grids are fixed: the refinement check below, not a tuning
+knob, guards their accuracy.
 
 Each oracle checks itself against a refined pass: f1 (64 polar nodes)
 against a rule with 128, f2 against a grid with twice the pole panels
 (half their width), twice the tail segments (so the tail reaches twice as
-far) and, per index, the polar rule of that longer grid, never fewer
-than 128 nodes.
+far) and, per grid, the polar rule of its extent, never fewer than 128
+nodes.
 
 These functions are verification fixtures: production code should use the
 closed forms in :mod:`chidip.collective`, which are ~10^3 x faster.
@@ -179,20 +187,31 @@ def _panel_average(y, mid0, half, n_panels, nodes, mu, weighted):
     half nodes[l], p < n_panels, of a grid from _panels; returns the (P x L)
     values.  mu and weighted are the folded half rule of _reduced_angular.
     Block B of b = ceil(sqrt(P)) panels is the (b x J) @ (J x L) product of
-    the offset phases exp(i y 2 half j mu) and the node matrix times the
-    block's start phases exp(i y mid_bB mu) (module docstring).
+    the offset phases step^j, step = exp(i y 2 half mu), built by doubling,
+    and the node matrix times the block's start phase, the previous start
+    times step^b (module docstring): one real matmul of the stacked real
+    and imaginary offsets with the node matrix viewed as reals, then one
+    subtraction of the two halves that make the real part.
     """
     inner = (0.5 * weighted[:, None]
              * np.exp(1j * y * half * np.multiply.outer(mu, nodes)))
     block = math.isqrt(n_panels - 1) + 1            # ceil(sqrt(P))
-    offset = y * np.multiply.outer(2.0 * half * np.arange(block), mu)
-    off_re, off_im = np.cos(offset), np.sin(offset, out=offset)
-    starts = mid0 + 2.0 * half * np.arange(0, n_panels, block)
-    out = np.empty((starts.size, block, nodes.size))
-    for start, rows in zip(starts, out):
-        folded = np.exp(1j * y * start * mu)[:, None] * inner
-        np.matmul(off_re, folded.real, out=rows)
-        rows -= off_im @ folded.imag
+    ladder = np.empty((block + 1, mu.size), dtype=complex)
+    ladder[0] = 1.0
+    ladder[1] = np.exp(2j * y * half * mu)
+    done = 1                        # rows <= done hold step^j: double them
+    while done < block:
+        more = min(done, block - done)
+        np.multiply(ladder[1:more + 1], ladder[done],
+                    out=ladder[done + 1:done + more + 1])
+        done += more
+    offset = np.concatenate([ladder[:block].real, ladder[:block].imag])
+    start = np.exp(1j * y * mid0 * mu)
+    out = np.empty((-(-n_panels // block), block, nodes.size))
+    for rows in out:
+        prod = offset @ (start[:, None] * inner).view(float)
+        np.subtract(prod[:block, 0::2], prod[block:, 1::2], out=rows)
+        start *= ladder[block]
     return out.reshape(-1, nodes.size)[:n_panels]
 
 
@@ -239,21 +258,27 @@ def _panels(a: float, b: float, n_panels: int):
     return a + half, half, n_panels
 
 
+@functools.cache
 def _euler_weights(n):
     """C(n-1, k) / 2^(n-1), k < n: n - 1 rounds of pairwise averaging of n
     partial sums as one dot.  The centre weight is correctly rounded, the
-    rest follow by the ratios (n-1-k)/(k+1), mirrored: exactly symmetric."""
+    rest follow by the ratios (n-1-k)/(k+1), mirrored: exactly symmetric.
+    Each n is built once per process and shared read-only."""
     k = np.arange(n // 2, n - 1)
     upper = np.cumprod(np.concatenate(
         [[math.comb(n - 1, n // 2) / 2 ** (n - 1)], (n - 1 - k) / (k + 1)]))
-    return np.concatenate([upper[::-1], upper[n % 2:]])
+    w = np.concatenate([upper[::-1], upper[n % 2:]])
+    w.flags.writeable = False
+    return w
 
 
 def _f2_single(x, m, inv, refine=1):
     """One pass of the f2 quadrature, one distinct index at a time; refine
     = 2 doubles the pole panel and tail segment counts of the base pass
-    (refine = 1), and each index's polar rule, at least refine * _N_POLAR
-    nodes and a multiple of _N_POLAR, follows that index's longer grid."""
+    (refine = 1).  Each radial grid of an index takes its own polar rule,
+    at least refine * _N_POLAR nodes and a multiple of _N_POLAR, from its
+    own largest phase argument: the window's from y _TAIL_START, the
+    tail's from y times its far end."""
     total = 0.0
     for n, hel in _by_index(m).items():
         y = n * x
@@ -262,27 +287,27 @@ def _f2_single(x, m, inv, refine=1):
         n_pan = refine * max(8, math.ceil(_TAIL_START * y / math.pi))
         n_seg = refine * max(_TAIL_SEGMENTS,
                              math.ceil((_K_MAX - _TAIL_START) / seg_len))
-        z = y * (_TAIL_START + n_seg * seg_len)
-        n_polar = _N_POLAR * max(refine,
-                                 math.ceil((0.55 * z + 40) / _N_POLAR))
-        mu, weighted = _reduced_angular(inv, hel, n_polar)
 
-        # the nodes k of a grid and q(k) = h(k) 2k/(k+1) at them, h(k) =
-        # weight k^3 times the angular average
-        def q(mid0, half, n_panels, nodes):
+        # the half-width and nodes k of n equal panels on [a, b] and q(k) =
+        # h(k) 2k/(k+1) at them, h(k) = weight k^3 times the angular average
+        # on the polar rule of the grid's largest phase argument z = y b
+        def q(a, b, n_panels, nodes):
+            mid0, half, _ = grid = _panels(a, b, n_panels)
+            n_polar = _N_POLAR * max(refine,
+                                     math.ceil((0.55 * y * b + 40) / _N_POLAR))
             mids = mid0 + 2.0 * half * np.arange(n_panels)
             k = mids[:, None] + half * nodes
-            return k, (weight * 2.0 * k**4 / (k + 1.0) * _panel_average(
-                y, mid0, half, n_panels, nodes, mu, weighted))
+            return half, k, (weight * 2.0 * k**4 / (k + 1.0) * _panel_average(
+                y, *grid, nodes, *_reduced_angular(inv, hel, n_polar)))
 
         # node (p, l) of the window's upper half mirrors (-1-p, -1-l) about 1
-        pole = _panels(1.0 - _HALF_WINDOW, 1.0 + _HALF_WINDOW, 2 * n_pan)
-        k, q_pole = q(*pole, _POLE_X)
+        half, k, q_pole = q(1.0 - _HALF_WINDOW, 1.0 + _HALF_WINDOW,
+                            2 * n_pan, _POLE_X)
         fold = q_pole[n_pan:] - q_pole[n_pan - 1::-1, ::-1]
-        pv = float((pole[1] * _POLE_W * fold / (k[n_pan:] - 1.0)).sum())
-        tail = _panels(_TAIL_START, _TAIL_START + n_seg * seg_len, n_seg)
-        k, q_tail = q(*tail, _TAIL_X)
-        partial = np.cumsum((tail[1] * _TAIL_W * q_tail / (k - 1.0)).sum(1))
+        pv = float((half * _POLE_W * fold / (k[n_pan:] - 1.0)).sum())
+        half, k, q_tail = q(_TAIL_START, _TAIL_START + n_seg * seg_len, n_seg,
+                            _TAIL_X)
+        partial = np.cumsum((half * _TAIL_W * q_tail / (k - 1.0)).sum(1))
         total += (pv + float(_euler_weights(n_seg) @ partial)) / math.pi
     return total
 
@@ -295,7 +320,7 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     oscillatory tail by half-period segmentation with Euler's binomial mean
     (see module docstring).  The value is re-computed on a refined grid:
     twice the pole panels and tail segments of the base grid, and per
-    index the polar rule of the refined extent (at least 128 nodes).
+    grid the polar rule of the refined extent (at least 128 nodes).
     OracleDivergence is raised if the two runs differ by more than
     refine_tol * max(|value|, 0.01), and InvalidSeparation unless x is one
     real number > 0 and finite.  Returns the base-grid value.

@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: the gain and worse verdicts of its summary, on
-synthetic runs, and what it writes when a run fails."""
+synthetic runs, the verdict lines it prints, and what it writes when a run
+fails."""
 
 import importlib.util
 import json
@@ -106,3 +107,42 @@ def test_failed_run_keeps_the_runs_collected_so_far(tmp_path, monkeypatch):
     assert result["failed_run"] == {
         "side": "after", "workload": "sweep", "pair": 1, "returncode": 3,
         "stderr_tail": "\n".join(f"line {i}" for i in range(10, 30))}
+
+
+def test_each_workload_reports_its_verdicts_on_stderr(tmp_path, monkeypatch,
+                                                       capsys):
+    # after each workload, one stderr line per end-to-end metric gives both
+    # medians, the change, the wins, gain and worse, and the JSON keeps its
+    # layout.  AFTER serves twice the items and starts in 1.4 times the time
+    def run_once(checkout, workload, seed):
+        fast = checkout.name == "after"
+        return _run(200.0 if fast else 100.0, 1.4 if fast else 1.0)
+
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "after" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 25, "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    code = bench_pairs.main([str(tmp_path / "before"), str(tmp_path / "after"),
+                             "--workload", "sweep", "verify", "--seed", "1",
+                             "--pairs", "4", "--label", "stub"])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if " pair " not in line]
+    assert lines == [
+        line
+        for workload in ("sweep", "verify")
+        for line in (
+            f"{workload} items_per_s: median 100 -> 200, change +100.0%, "
+            "wins 4/4, gain True, worse False",
+            f"{workload} setup_s: median 1 -> 1.4, change -40.0%, "
+            "wins 0/4, gain False, worse True")]
+    result = json.loads((tmp_path / "BENCH_stub.json").read_text())
+    assert set(result) == {"label", "seed", "pairs", "seconds", "host",
+                           "workloads"}
+    for workload in ("sweep", "verify"):
+        entry = result["workloads"][workload]
+        assert set(entry) == {"summary", "runs"}
+        assert entry["summary"] == bench_pairs.summarize(entry["runs"],
+                                                         METRICS)

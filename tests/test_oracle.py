@@ -18,6 +18,7 @@ from chidip import (
 from chidip.specfun import aux_i1, aux_i2
 from scipy.special import roots_legendre
 
+from chidip import oracle
 from chidip.oracle import (
     _euler_weights,
     _legendre_rule,
@@ -184,7 +185,13 @@ def test_panel_average_matches_direct_node_sum():
     # node of the full rule whose weights satisfy w(-mu) = conj w(mu), on
     # grids of equal panels running up (half > 0) and down (half < 0); the
     # panel counts give one block of one panel, one block of two, full
-    # blocks (a square), a short last block (a square + 1) and 299 panels
+    # blocks (a square), a short last block (a square + 1), 299 panels, and
+    # the 2400 and 4584 panels of the x = 50 tail grids, whose 49 and 68
+    # blocks carry the start phase ladder furthest; up to 300 panels spread
+    # evenly over the grid, its first and last among them, are compared.
+    # A panel spans at most 2 pi of phase, and at most 600 pi over the
+    # whole grid: the reference rounds each phase argument z to about
+    # z eps, which past z ~ 10^4 alone exceeds the tolerance
     rng = np.random.default_rng(24)
     for n_polar, n_gl in ((8, 4), (31, 10), (64, 16), (301, 10), (1200, 16)):
         mu, wmu = roots_legendre(n_polar)
@@ -195,23 +202,51 @@ def test_panel_average_matches_direct_node_sum():
             upper[0] = upper[0].real
         weighted = np.concatenate([upper[n_polar % 2:][::-1].conj(), upper])
         nodes, _ = roots_legendre(n_gl)
-        for n_panels in (1, 2, 49, 50, 299):
+        for n_panels in (1, 2, 49, 50, 299, 2400, 4584):
+            rows = np.unique(np.linspace(0, n_panels - 1, 300).astype(int))
             for sign in (1.0, -1.0):
                 y = rng.uniform(0.5, 20.0)
-                half = sign * rng.uniform(0.0, 1.0) * math.pi / y
+                half = (sign * rng.uniform(0.0, 1.0) * math.pi / y
+                        * min(1.0, 300 / n_panels))
                 mid0 = rng.uniform(0.0, 2000.0 / y)
                 got = _panel_average(y, mid0, half, n_panels, nodes, mu[lo:],
                                      _fold(mu, weighted))
-                kt = ((mid0 + 2.0 * half * np.arange(n_panels))[:, None]
-                      + half * nodes)
+                kt = ((mid0 + 2.0 * half * rows)[:, None] + half * nodes)
                 phase = np.exp(1j * y * np.multiply.outer(kt, mu))
                 want = 0.5 * (phase @ weighted).real
                 assert got.shape == (n_panels, n_gl)
-                assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                assert_allclose(got[rows], want, rtol=1e-12, atol=1e-12)
+
+
+def test_f2_grids_take_their_own_polar_rules(monkeypatch):
+    # each radial grid of an index takes the polar rule of its own largest
+    # phase argument z, 64 * max(refine, ceil((0.55 z + 40) / 64)) nodes:
+    # the pole window's z = 2y (it ends at k/k0 = 2), the tail's z = y times
+    # its far end.  At x = 20, y = 20 (n = 1) gives the window z = 40 (64
+    # nodes) and the tail z = 1001 (640), y = 60 (n = 3) the window z = 120
+    # (128) and the tail z = 3001 (1728); the refined pass has at least 128
+    # nodes, and its tails reach twice as far (1152 and 3328 nodes)
+    seen = []
+
+    def recording(inv, hel, n_polar):
+        seen.append((hel, n_polar))
+        return reduced_angular(inv, hel, n_polar)
+
+    reduced_angular = oracle._reduced_angular
+    monkeypatch.setattr(oracle, "_reduced_angular", recording)
+    inv = _ring(ORTH)
+    m = MediumChirality(1.0, 3.0)
+    for refine, rules in ((1, (64, 640, 128, 1728)),
+                          (2, (128, 1152, 128, 3328))):
+        seen.clear()
+        oracle._f2_single(20.0, m, inv, refine)
+        assert seen == [((1.0,), rules[0]), ((1.0,), rules[1]),
+                        ((-1.0,), rules[2]), ((-1.0,), rules[3])]
 
 
 def test_euler_weights_are_iterated_pairwise_averaging():
-    # the binomial weights C(n-1, k) / 2^(n-1) are exactly symmetric, each
+    # the binomial weights C(n-1, k) / 2^(n-1), built once per n and shared
+    # read-only, are exactly symmetric, each
     # within 16 eps of its correctly rounded value or below 1e-300 (the
     # product of the ratios drifts by some eps towards the ends: 6.8 eps at
     # n = 2400), and their dot with n partial sums of an alternating series
@@ -220,6 +255,7 @@ def test_euler_weights_are_iterated_pairwise_averaging():
     for n in (1, 2, 3, 48, 49, 596, 2400):
         w = _euler_weights(n)
         assert w.shape == (n,) and np.array_equal(w, w[::-1])
+        assert _euler_weights(n) is w and not w.flags.writeable
         exact = [math.comb(n - 1, k) / 2 ** (n - 1) for k in range(n)]
         assert_allclose(w, exact, rtol=16 * EPS, atol=1e-300)
         for _ in range(5):
@@ -236,8 +272,10 @@ def test_euler_weights_are_iterated_pairwise_averaging():
 # on-shell oracle
 
 def test_f1_oracle_inactive_orthogonal_vanishes():
+    # both channels of an inactive medium are one pass, whose helicity term
+    # cancels exactly: the orthogonal pair sees exactly 0.0
     for x in (0.5, 2.0, 7.0):
-        assert abs(f1_oracle(x, INACTIVE3, ORTH)) < 1e-10
+        assert f1_oracle(x, INACTIVE3, ORTH) == 0.0
 
 
 def test_f1_oracle_matches_closed_form_vacuum():
@@ -290,7 +328,10 @@ def test_f1_oracle_divergence_detected():
 # off-shell oracle
 
 def test_f2_oracle_inactive_orthogonal_vanishes():
-    assert abs(f2_oracle(2.0, INACTIVE3, ORTH)) < 1e-6
+    # as for f1: one pass for both channels, whose helicity term cancels
+    # exactly
+    for x in (0.5, 2.0, 7.0):
+        assert f2_oracle(x, INACTIVE3, ORTH) == 0.0
 
 
 def test_f2_oracle_matches_closed_form():

@@ -20,6 +20,9 @@ nine tenths of the pairs and the medians differ by more than the distance
 between BEFORE's quartiles.  ``worse`` is true when the change of the
 median is below minus the metric's ``bound`` in BENCHMARK.json.
 
+After each workload, one stderr line per end-to-end metric gives both
+medians, the change, the wins, ``gain`` and ``worse``.
+
 A run that exits nonzero ends the measurement: BENCH_<label>.json then
 holds the runs collected so far (the unfinished workload without a
 summary) and ``failed_run``, that run's side, workload, pair, exit code
@@ -87,6 +90,16 @@ def summarize(runs, metrics):
     return {"correct": correct, "failed": failed, "metrics": out}
 
 
+def report(workload, summary, pairs):
+    """One line per end-to-end metric of a workload's summary."""
+    for name, entry in summary["metrics"].items():
+        change = "n/a" if entry["change"] is None else f"{entry['change']:+.1%}"
+        yield (f"{workload} {name}: median {entry['before']['median']:.6g} "
+               f"-> {entry['after']['median']:.6g}, change {change}, wins "
+               f"{entry['wins']}/{pairs}, gain {entry['gain']}, worse "
+               f"{entry['worse']}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("before", type=Path)
@@ -133,10 +146,10 @@ def main(argv=None) -> int:
             print(f"{workload} pair {k} {side}: exit {err.returncode}",
                   file=sys.stderr)
             break
-        result["workloads"][workload] = {
-            "summary": summarize(runs, spec["end_to_end"]),
-            "runs": runs,
-        }
+        summary = summarize(runs, spec["end_to_end"])
+        result["workloads"][workload] = {"summary": summary, "runs": runs}
+        for line in report(workload, summary, args.pairs):
+            print(line, file=sys.stderr)
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(path)
