@@ -4,10 +4,10 @@ The public functions of :mod:`chidip.specfun` and :mod:`chidip.collective`
 take a float or an array of any shape and run one array code path; these
 helpers turn the input into an array, name the first value that fails a
 check, and hand a 0-d result back as a Python float; ``horner`` evaluates
-the power-series tables of both modules.  :mod:`chidip.geometry`
-and :mod:`chidip.dynamics` take their vectors, separation, rates and times
-through ``as_floats`` too, so that a value of the wrong type raises the
-module's own ChidipError.
+the power-series tables of both modules, ``piecewise`` picks their branch.
+:mod:`chidip.geometry` and :mod:`chidip.dynamics` take their vectors,
+separation, rates and times through ``as_floats`` too, so that a value of
+the wrong type raises the module's own ChidipError.
 """
 
 from __future__ import annotations
@@ -47,3 +47,19 @@ def horner(table, z):
     for row in table[1:]:
         acc = acc * z + row
     return acc
+
+
+def piecewise(below, low, high, v, *args):
+    """The rows of low(v, *args) where the mask below holds, of
+    high(v, *args) elsewhere: each form runs on its own elements alone, on
+    v itself when they are all of v; a form returns rows shaped like v."""
+    if not below.any():
+        return high(v, *args)
+    if below.all():
+        return low(v, *args)
+    above = ~below
+    lo, hi = low(v[below], *args), high(v[above], *args)
+    out = np.empty((len(lo),) + v.shape)
+    for row, a, b in zip(out, lo, hi):
+        row[below], row[above] = a, b
+    return out

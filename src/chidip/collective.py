@@ -26,10 +26,12 @@ delta_lamb = n_bar ln(Lambda)/(2 pi) is the cutoff-renormalized
 single-dipole shift (position independent; it cancels in the splitting
 delta_plus - delta_minus = 2 F2).
 
-For y below Y_SERIES the trigonometric brackets lose ~6 digits to
-cancellation of the 1/y^2 and 1/y^3 terms, so they switch to Taylor/Laurent
-series (through order y^6); the two paths agree to ~1e-14 at the
-switchover.
+F2's brackets are F1's a quarter period on: F1's (b1, b2, b3) are
+(u (s + t), u (s + 3t), t) with t = u (c - u s), u = 1/y, (s, c) =
+(sin y, cos y), and (s, c) = (cos y, -sin y) gives F2's (d1, d2, -d3).
+Below Y_SERIES these lose ~6 digits to cancellation, so each element there
+takes Taylor/Laurent series (through order y^6) instead, by the switch
+that picks I1/I2's branch; the two forms agree to ~1e-13 at the switch.
 
 f1, f2, a_t and collective_spectrum take a float (giving floats) or an
 array of x of any shape, with both helicity channels on a trailing axis of
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_floats, first_failing, horner, to_output
+from ._arrays import as_floats, first_failing, horner, piecewise, to_output
 from .errors import DomainError, InvalidSeparation
 from .geometry import GeometryInvariants
 from .specfun import _aux
@@ -66,9 +68,6 @@ _Y_MAX = 0.5 * _FLOAT_MAX
 # multiply an index by bounded factors below 1e3, so every output stays
 # finite with eight orders of headroom
 _N_MAX = 1e300
-
-# helicity s of the two channels, in the order (n_left, n_right)
-_HELICITY = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -154,29 +153,30 @@ class CollectiveSpectrum:
 #   d2 = y^-3 (-3 - y^2/2 - y^4/8 + y^6/48 - y^8/1152)
 #   d3 = y^-2 (1 + y^2/2 - y^4/8 + y^6/144 - y^8/5760)
 # Each table holds the coefficients of the three series, one column per
-# bracket, highest power first, so one Horner pass evaluates all three.
+# bracket, highest power first, so one Horner pass evaluates all three;
+# f2's third column is that of -d3, the sign the trig forms give it.
 _F1_SERIES = np.array([[-1 / 5670, -1 / 7560, 1 / 45360],
                        [1 / 140, 1 / 210, -1 / 840],
                        [-2 / 15, -1 / 15, 1 / 30],
                        [2 / 3, 0.0, -1 / 3]])
-_F2_SERIES = np.array([[-7 / 5760, -1 / 1152, -1 / 5760],
-                       [5 / 144, 1 / 48, 1 / 144],
-                       [-3 / 8, -1 / 8, -1 / 8],
-                       [1 / 2, -1 / 2, 1 / 2],
-                       [-1.0, -3.0, 1.0]])
+_F2_SERIES = np.array([[-7 / 5760, -1 / 1152, 1 / 5760],
+                       [5 / 144, 1 / 48, -1 / 144],
+                       [-3 / 8, -1 / 8, 1 / 8],
+                       [1 / 2, -1 / 2, -1 / 2],
+                       [-1.0, -3.0, -1.0]])
+
+
+def _trig(s, c, u):
+    """(u (s + t), u (s + 3t), t) with t = u (c - u s): f1's brackets at
+    (s, c) = (sin y, cos y), f2's (d1, d2, -d3) at (cos y, -sin y)."""
+    t = u * (c - u * s)
+    return u * (s + t), u * (s + 3 * t), t
 
 
 def _brackets_direct(y, with_f2):
     sy, cy, u = np.sin(y), np.cos(y), 1.0 / y
-    b3 = u * (cy - u * sy)              # cos y/y - sin y/y^2
-    b1 = u * (sy + b3)                  # sin y/y + cos y/y^2 - sin y/y^3
-    b2 = u * (sy + 3 * b3)              # sin y/y + 3 cos y/y^2 - 3 sin y/y^3
-    if not with_f2:
-        return b1, b2, b3
-    d3 = u * (sy + u * cy)              # sin y/y + cos y/y^2
-    d1 = u * (cy - d3)                  # cos y/y - sin y/y^2 - cos y/y^3
-    d2 = u * (cy - 3 * d3)              # cos y/y - 3 sin y/y^2 - 3 cos y/y^3
-    return b1, b2, b3, d1, d2, d3
+    b = _trig(sy, cy, u)
+    return b + _trig(cy, -sy, u) if with_f2 else b
 
 
 def _brackets_series(y, with_f2):
@@ -192,23 +192,17 @@ def _brackets_series(y, with_f2):
 
 
 def _brackets(y, with_f2):
-    """f1's brackets (b1, b2, b3), then f2's (d1, d2, d3) if with_f2: the
-    series below Y_SERIES, the trig forms (one sin/cos) elsewhere.  The trig
-    forms run on every element, with Y_SERIES standing in for the small y
-    (1/y^3 would overflow there); the series run on the small y alone."""
-    brackets = _brackets_direct(np.maximum(y, Y_SERIES), with_f2)
-    small = y < Y_SERIES
-    if small.any():
-        for b, s in zip(brackets, _brackets_series(y[small], with_f2)):
-            b[small] = s
-    return brackets
+    """f1's brackets (b1, b2, b3), then f2's (d1, d2, -d3) if with_f2: the
+    series on the y below Y_SERIES, the trig forms on the others."""
+    return piecewise(y < Y_SERIES, _brackets_series, _brackets_direct, y,
+                     with_f2)
 
 
 def _channels(x, m):
-    """Check x and return (x, n, y): the channel indices n = (n_left,
-    n_right) and y = n*x on a trailing axis of length 2."""
+    """Check x and return (x, s, n, y): the helicities s and indices n of
+    m.channels and y = n*x, on a trailing axis of length 2."""
     x = as_floats(x, InvalidSeparation, "separation x")
-    n = np.array([m.n_left, m.n_right])
+    s, n = np.array(m.channels).T
     ok = (x > 0.0) & (x < _Y_MAX / max(m.n_left, m.n_right))
     if not ok.all():
         bad = first_failing(x, ok)
@@ -217,41 +211,34 @@ def _channels(x, m):
                 f"separation x={bad} is too large: n*x must stay below "
                 f"{_Y_MAX:.3g}")
         raise InvalidSeparation(f"separation x must be > 0, got {bad}")
-    return x, n, np.multiply.outer(x, n)
+    return x, s, n, np.multiply.outer(x, n)
 
 
 # ---------------------------------------------------------------------------
 # the collective coefficient functions
 
-def _channel_sum(n, g, b1, b2, b3):
+def _channel_sum(s, n, g, b1, b2, b3):
     """sum over both channels of (3n/8) (a b1 - b b2 + s c b3)."""
-    terms = (3 * n / 8) * (g.a * b1 - g.b * b2 + g.c * _HELICITY * b3)
+    terms = (3 * n / 8) * (g.a * b1 - g.b * b2 + g.c * s * b3)
     return to_output(terms[..., 0] + terms[..., 1])
 
 
-def _exchange_brackets(y):
-    """f1's brackets (b1, b2, b3) and f2's (d1, d2, d3 + aux) at y, from one
-    _brackets and one _aux; aux = (2/pi)(I1(y)/y + I2(y)/y^2)."""
-    b1, b2, b3, d1, d2, d3 = _brackets(y, with_f2=True)
-    i1, i2 = _aux(y)
-    u = 1.0 / y
-    aux = (2 / np.pi) * u * (i1 + u * i2)
-    return b1, b2, b3, d1, d2, d3 + aux
-
-
 def _exchange(x, m, g):
-    """(F1, F2) from one check of x and one _exchange_brackets."""
-    x, n, y = _channels(x, m)
+    """(F1, F2) from one check of x, one _brackets and one _aux."""
+    x, s, n, y = _channels(x, m)
     ok = x >= max(_Y_MIN_F2 * max(v, 1.0) ** (1 / 3) / v
                   for v in (m.n_left, m.n_right))
     if not ok.all():
         raise InvalidSeparation(
             f"separation x={first_failing(x, ok)} is too small: "
             f"f2 ~ 1/x^3 overflows")
-    b1, b2, b3, d1, d2, d3_aux = _exchange_brackets(y)
-    # the c term of F2 is -s c (d3 + aux)
-    return (_channel_sum(n, g, b1, b2, b3),
-            _channel_sum(n, g, d1, d2, -d3_aux))
+    b1, b2, b3, d1, d2, minus_d3 = _brackets(y, with_f2=True)
+    i1, i2 = _aux(y)
+    u = 1.0 / y
+    aux = (2 / np.pi) * u * (i1 + u * i2)   # (2/pi)(I1(y)/y + I2(y)/y^2)
+    # the c term of F2 is -s c (d3 + aux) = s c (-d3 - aux)
+    return (_channel_sum(s, n, g, b1, b2, b3),
+            _channel_sum(s, n, g, d1, d2, minus_d3 - aux))
 
 
 def f1(x, m: MediumChirality, g: GeometryInvariants):
@@ -261,8 +248,8 @@ def f1(x, m: MediumChirality, g: GeometryInvariants):
     inactive medium (n_left = n_right) the c term cancels between the two
     helicities.  x is a float or an array; a float gives a float.
     """
-    x, n, y = _channels(x, m)
-    return _channel_sum(n, g, *_brackets(y, with_f2=False))
+    x, s, n, y = _channels(x, m)
+    return _channel_sum(s, n, g, *_brackets(y, with_f2=False))
 
 
 def f2(x, m: MediumChirality, g: GeometryInvariants):

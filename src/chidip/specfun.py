@@ -25,9 +25,9 @@ They are evaluated with numpy alone, on one of two branches per element:
   which cancel nothing (the closed forms lose a factor of about u^2) and
   form no u^2, so nothing overflows up to the end of the float range.
 
-Each branch runs on its own subset of the elements alone (``_aux``), and
-the Laguerre rule in blocks of _BLOCK elements, which caps its (nodes x
-elements) temporary.
+Each branch runs on its own elements alone (``_aux``, by the switch the
+brackets of :mod:`chidip.collective` use too), and the Laguerre rule in
+blocks of _BLOCK elements, which caps its (nodes x elements) temporary.
 
 ``aux_i1`` and ``aux_i2`` take a float or an array of u; a float in gives
 float fields out.  Their ``est_abs_error`` is _ERR times the value (times
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from ._arrays import as_floats, first_failing, horner, to_output
+from ._arrays import as_floats, first_failing, horner, piecewise, to_output
 from .errors import DomainError
 
 # branch switch and sizes: below U_SERIES the Si/Ci series, from U_SERIES
@@ -167,13 +167,8 @@ def _aux(u):
     """(I1(u), I2(u)) for an array u > 0 of any shape: the series on the
     elements below U_SERIES, the Laguerre rule on the others."""
     v = u.ravel()
-    acc = np.empty((2, v.size))
-    small = v < U_SERIES
-    if small.any():
-        acc[:, small] = _series(v[small])
-    if not small.all():
-        acc[:, ~small] = _gauss_laguerre(v[~small])
-    return acc[0].reshape(u.shape), acc[1].reshape(u.shape)
+    i1, i2 = piecewise(v < U_SERIES, _series, _gauss_laguerre, v)
+    return i1.reshape(u.shape), i2.reshape(u.shape)
 
 
 def _checked(u, name, u_min):

@@ -1,7 +1,8 @@
 """tools/bench_pairs.py: the gain and worse verdicts of its summary, on
-synthetic runs, the verdict lines it prints, and what it writes when a run
-fails."""
+synthetic runs, the verdict lines it prints, the digest of the code each
+side ran, and what it writes when a run fails."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -140,9 +141,57 @@ def test_each_workload_reports_its_verdicts_on_stderr(tmp_path, monkeypatch,
             "wins 0/4, gain False, worse True")]
     result = json.loads((tmp_path / "BENCH_stub.json").read_text())
     assert set(result) == {"label", "seed", "pairs", "seconds", "host",
-                           "workloads"}
+                           "sources", "workloads"}
     for workload in ("sweep", "verify"):
         entry = result["workloads"][workload]
         assert set(entry) == {"summary", "runs"}
         assert entry["summary"] == bench_pairs.summarize(entry["runs"],
                                                          METRICS)
+
+
+def _digest(files):
+    """The sha256 of a src/chidip holding files (name -> bytes), per the
+    tool's docstring."""
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        for part in (f"src/chidip/{name}".encode(), files[name]):
+            digest.update(b"%d:" % len(part) + part)
+    return digest.hexdigest()
+
+
+def test_sources_name_the_code_each_side_ran(tmp_path, monkeypatch):
+    # each side's sources entry is the sha256 over its src/chidip/*.py, on
+    # plain directories that are not git checkouts; other files, the order
+    # the files were written in and the checkout's own path do not count
+    files = {"__init__.py": b"", "specfun.py": b"I1 = 2\n",
+             "collective.py": b"F1 = 1\n"}
+    for side, order in zip(bench_pairs.SIDES, (sorted(files), list(files))):
+        package = tmp_path / side / "src" / "chidip"
+        package.mkdir(parents=True)
+        for name in order:
+            (package / name).write_bytes(files[name])
+    before = tmp_path / "before"
+    (before / "src" / "chidip" / "notes.txt").write_text("not code")
+    (before / "src" / "chidip" / "sub").mkdir()
+    (before / "src" / "chidip" / "sub" / "extra.py").write_text("x = 1")
+    (before / "README.md").write_text("readme")
+    (tmp_path / "after" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 25, "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed: _run(100.0, 1.0))
+    monkeypatch.chdir(tmp_path)
+    argv = [str(tmp_path / "before"), str(tmp_path / "after"), "--workload",
+            "sweep", "--seed", "1", "--pairs", "2", "--label", "stub"]
+
+    def sources():
+        assert bench_pairs.main(argv) == 0
+        return json.loads((tmp_path / "BENCH_stub.json").read_text())[
+            "sources"]
+
+    assert sources() == {"before": _digest(files), "after": _digest(files)}
+    # one changed byte in AFTER's code changes its digest alone
+    files["collective.py"] = b"F1 = 2\n"
+    (tmp_path / "after" / "src" / "chidip" / "collective.py").write_bytes(
+        files["collective.py"])
+    got = sources()
+    assert got["after"] == _digest(files) != got["before"]

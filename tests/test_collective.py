@@ -27,8 +27,8 @@ from chidip.collective import (
     _brackets,
     _brackets_direct,
     _brackets_series,
-    _exchange_brackets,
 )
+from chidip.specfun import _aux
 
 EPS = float(np.finfo(float).eps)
 VACUUM = MediumChirality(1.0, 1.0)
@@ -150,15 +150,18 @@ def test_dicke_limit_small_x():
 
 
 def test_series_and_direct_paths_agree_at_switchover():
-    y = Y_SERIES
-    direct, series = _brackets_direct(y, True), _brackets_series(y, True)
-    for a, b in zip(direct[:3], series[:3]):
-        assert abs(a - b) < 1e-9
-    for a, b in zip(direct[3:], series[3:]):
-        assert abs(a - b) < 1e-9 * max(1.0, abs(a))
-    # without f2 the same f1 brackets come back
-    assert _brackets_direct(y, False) == direct[:3]
-    assert _brackets_series(y, False) == series[:3]
+    # at Y_SERIES and its two float neighbours; measured worst 1.3e-13 (b2,
+    # just below), 5e-15 at Y_SERIES itself
+    for y in (np.nextafter(Y_SERIES, 0.0), Y_SERIES,
+              np.nextafter(Y_SERIES, 1.0)):
+        direct, series = _brackets_direct(y, True), _brackets_series(y, True)
+        for a, b in zip(direct[:3], series[:3]):
+            assert abs(a - b) < 1e-12, y
+        for a, b in zip(direct[3:], series[3:]):
+            assert abs(a - b) < 1e-12 * max(1.0, abs(a)), y
+        # without f2 the same f1 brackets come back
+        assert _brackets_direct(y, False) == direct[:3]
+        assert _brackets_series(y, False) == series[:3]
 
 
 def test_brackets_pick_series_or_direct_per_element():
@@ -397,7 +400,12 @@ def _bracket_scales(x, m):
     (3n/8)(|d1| + |d2| + |d3 + aux|): the scale of f1 and f2 at unit |a|,
     |b|, |c|, and of the rounding of their final combination."""
     n = np.array([n for _, n in m.channels])
-    b = 3 * n / 8 * np.abs(_exchange_brackets(n * x))
+    y = n * x
+    b1, b2, b3, d1, d2, minus_d3 = _brackets(y, with_f2=True)
+    i1, i2 = _aux(y)
+    u = 1.0 / y
+    minus_d3_aux = minus_d3 - (2 / np.pi) * u * (i1 + u * i2)
+    b = 3 * n / 8 * np.abs([b1, b2, b3, d1, d2, minus_d3_aux])
     return float(b[:3].sum()), float(b[3:].sum())
 
 

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chidip import DomainError, aux_i1, aux_i2
-from chidip import specfun
+from chidip import collective, specfun
 from chidip.specfun import (
     U_SERIES,
     _aux,
@@ -126,21 +126,30 @@ def test_array_elements_equal_float_calls():
 
 
 def test_each_branch_runs_on_its_own_elements(monkeypatch):
-    # the Laguerre rule sees only the u >= U_SERIES elements, the series
-    # only the others
-    seen = {}
-    for name in ("_series", "_gauss_laguerre"):
-        def spy(v, name=name, inner=getattr(specfun, name)):
-            seen[name] = seen.get(name, 0) + v.size
-            return inner(v)
-        monkeypatch.setattr(specfun, name, spy)
-    _aux(np.linspace(0.01, 2.9, 1000))
-    assert seen == {"_series": 1000}
-    seen.clear()
-    u = np.linspace(0.01, 5.8, 1000)
-    _aux(u)
-    assert seen == {"_series": np.count_nonzero(u < U_SERIES),
-                    "_gauss_laguerre": np.count_nonzero(u >= U_SERIES)}
+    # one switch serves I1/I2 and the brackets of f1 and f2: the
+    # large-argument form (the Laguerre rule, the trig brackets) sees only
+    # the elements at or above the switch, the series only the others
+    for module, run, below, above, edge in (
+            (specfun, specfun._aux, "_series", "_gauss_laguerre", U_SERIES),
+            (collective, lambda y: collective._brackets(y, True),
+             "_brackets_series", "_brackets_direct", collective.Y_SERIES)):
+        seen = {}
+        for name in (below, above):
+            def spy(v, *args, name=name, inner=getattr(module, name)):
+                seen[name] = seen.get(name, 0) + v.size
+                return inner(v, *args)
+            monkeypatch.setattr(module, name, spy)
+        scale = edge / U_SERIES
+        run(np.linspace(0.01, 2.9, 1000) * scale)
+        assert seen == {below: 1000}, module
+        seen.clear()
+        run(np.linspace(3.0, 5.8, 1000) * scale)
+        assert seen == {above: 1000}, module
+        seen.clear()
+        u = np.linspace(0.01, 5.8, 1000).reshape(500, 2) * scale
+        run(u)
+        assert seen == {below: np.count_nonzero(u < edge),
+                        above: np.count_nonzero(u >= edge)}, module
 
 
 def test_laguerre_rule_memory_is_blocked():

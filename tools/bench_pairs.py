@@ -19,6 +19,10 @@ correct, AFTER failed no more requests than BEFORE, AFTER won at least
 nine tenths of the pairs and the medians differ by more than the distance
 between BEFORE's quartiles.  ``worse`` is true when the change of the
 median is below minus the metric's ``bound`` in BENCHMARK.json.
+``sources`` names the code each side ran: per side, the sha256 over its
+src/chidip/*.py in sorted path order, each file's path relative to the
+checkout and then its bytes, each prefixed by its length.  It reads the
+files alone, so a checkout need not be a git repository.
 
 After each workload, one stderr line per end-to-end metric gives both
 medians, the change, the wins, ``gain`` and ``worse``.
@@ -32,6 +36,7 @@ and the tail of its stderr, and the script exits 1.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -53,6 +58,17 @@ def run_once(checkout: Path, workload: str, seed: int):
          "--workload", workload, "--seed", str(seed)],
         cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def source_digest(checkout: Path) -> str:
+    """sha256 over the checkout's src/chidip/*.py: per file in sorted path
+    order, the length and bytes of its relative path, then of its content."""
+    digest = hashlib.sha256()
+    for path in sorted(checkout.glob("src/chidip/*.py")):
+        for part in (path.relative_to(checkout).as_posix().encode(),
+                     path.read_bytes()):
+            digest.update(b"%d:" % len(part) + part)
+    return digest.hexdigest()
 
 
 def summarize(runs, metrics):
@@ -122,6 +138,7 @@ def main(argv=None) -> int:
         "host": {"machine": platform.machine(),
                  "cpus": len(os.sched_getaffinity(0)),
                  "python": platform.python_version()},
+        "sources": {side: source_digest(checkouts[side]) for side in SIDES},
         "workloads": {},
     }
     for workload in args.workload:
