@@ -7,7 +7,9 @@ check, and hand a 0-d result back as a Python float; ``horner`` evaluates
 the power-series tables of both modules, ``piecewise`` picks their branch.
 :mod:`chidip.geometry` and :mod:`chidip.dynamics` take their vectors,
 separation, rates and times through ``as_floats`` too, so that a value of
-the wrong type raises the module's own ChidipError.
+the wrong type raises the module's own ChidipError: ``as_floats`` is the
+one rule for what a number is, and ``one_float`` applies it to the scalar
+inputs (indices, Lamb cutoff, separation, oracle tolerance).
 """
 
 from __future__ import annotations
@@ -28,6 +30,15 @@ def as_floats(values, error, what: str, dtype=float) -> np.ndarray:
     if array is None or array.dtype.kind not in kinds:
         raise error(f"{what} must be {kind}, got {values!r}")
     return array.astype(dtype, copy=False)
+
+
+def one_float(value, error, what: str) -> float:
+    """value as a Python float; raises error unless as_floats takes it and
+    it is one number (0-d)."""
+    array = as_floats(value, error, what)
+    if array.ndim != 0:
+        raise error(f"{what} must be one number, got {value!r}")
+    return float(array)
 
 
 def first_failing(values: np.ndarray, ok) -> float:

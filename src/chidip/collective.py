@@ -42,12 +42,12 @@ F2.  An invalid x raises InvalidSeparation naming the first offending value.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_floats, first_failing, horner, piecewise, to_output
+from ._arrays import (as_floats, first_failing, horner, one_float, piecewise,
+                      to_output)
 from .errors import DomainError, InvalidSeparation
 from .geometry import GeometryInvariants
 from .specfun import _aux
@@ -73,18 +73,19 @@ _N_MAX = 1e300
 @dataclass(frozen=True)
 class MediumChirality:
     """Circular refractive indices of an absorption-free chiral medium,
-    stored as Python floats in (0, 1e300]."""
+    stored as Python floats in (0, 1e300]; an index that is not one number
+    by the rule of the closed forms' x (``as_floats``) is a DomainError."""
 
     n_left: float
     n_right: float
 
     def __post_init__(self):
         for name in ("n_left", "n_right"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and 0.0 < v <= _N_MAX):
+            v = one_float(getattr(self, name), DomainError, name)
+            if not 0.0 < v <= _N_MAX:
                 raise DomainError(f"{name} must be a real in (0, {_N_MAX:g}], "
                                   f"got {v}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, v)
 
     @property
     def n_bar(self) -> float:
@@ -102,30 +103,28 @@ class MediumChirality:
         (n_left, n_right) = (n_bar + rotation, n_bar - rotation).  For the
         other reading, rotation = n_left - n_right, pass rotation / 2; the
         README explains why the half-difference reading is the one used.
+        Each argument is checked as an index is; a sum beyond the float
+        range is inf, which the index range refuses.
         """
-        if not all(isinstance(v, numbers.Real) for v in (n_bar, rotation)):
-            raise DomainError(f"non-real n_bar or rotation: {n_bar!r}, {rotation!r}")
-        try:        # an int, or a sum of numpy scalars, beyond the float range
-            with np.errstate(over="raise"):
-                return cls(n_bar + rotation, n_bar - rotation)
-        except (OverflowError, FloatingPointError):
-            raise DomainError(f"n_bar or rotation beyond the float range: "
-                              f"{n_bar!r}, {rotation!r}") from None
+        n_bar = one_float(n_bar, DomainError, "n_bar")
+        rotation = one_float(rotation, DomainError, "rotation")
+        return cls(n_bar + rotation, n_bar - rotation)
 
 
 @dataclass(frozen=True)
 class LambCutoff:
     """Dimensionless renormalization cutoff Lambda = m_e c / (hbar k0),
-    stored as a Python float in (1, float max]."""
+    stored as a Python float in (1, float max] and checked as an index of
+    MediumChirality is."""
 
     lambda_cutoff: float
 
     def __post_init__(self):
-        v = self.lambda_cutoff
-        if not (isinstance(v, numbers.Real) and 1.0 < v <= _FLOAT_MAX):
+        v = one_float(self.lambda_cutoff, DomainError, "lambda_cutoff")
+        if not 1.0 < v <= _FLOAT_MAX:
             raise DomainError(f"lambda_cutoff must be a finite real > 1, "
                               f"got {v!r}")
-        object.__setattr__(self, "lambda_cutoff", float(v))
+        object.__setattr__(self, "lambda_cutoff", v)
 
 
 @dataclass(frozen=True)

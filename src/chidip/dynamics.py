@@ -91,9 +91,8 @@ def _damped_exponential(coeff: complex, times: np.ndarray) -> np.ndarray:
     if not (math.isfinite(coeff.imag * float(times[-1]))
             or np.all(dead | np.isfinite(z.imag))):
         raise DomainError(f"the phase Im({coeff}) * t exceeds the float range")
-    out = np.exp(np.where(dead, -np.inf, z))
-    # exp(-inf + i*phase) is nan in complex arithmetic; force exact zero
-    return np.where(dead, 0.0 + 0.0j, out)
+    # a dead amplitude drops its phase: exp(-inf + 0j) is exactly 0
+    return np.exp(np.where(dead, -np.inf, z))
 
 
 def _checked_inputs(a_l, a_t, times):

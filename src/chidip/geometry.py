@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._arrays import as_floats
+from ._arrays import as_floats, one_float
 from .errors import InvalidGeometry, InvalidSeparation
 
 if TYPE_CHECKING:  # annotations only: numpy.typing is slow to import
@@ -40,12 +40,10 @@ def _vector(v: ArrayLike, name: str) -> np.ndarray:
 
 def _separation(x) -> float:
     """x as a positive finite Python float, else InvalidSeparation."""
-    value = as_floats(x, InvalidSeparation, "separation x")
-    if value.ndim != 0:
-        raise InvalidSeparation(f"separation x must be one number, got {x!r}")
-    if not (np.isfinite(value) and value > 0.0):
+    value = one_float(x, InvalidSeparation, "separation x")
+    if not 0.0 < value < np.inf:
         raise InvalidSeparation(f"separation x must be > 0, got {x}")
-    return float(value)
+    return value
 
 
 def _unit(v: ArrayLike, name: str) -> np.ndarray:

@@ -96,8 +96,9 @@ import math
 
 import numpy as np
 
+from ._arrays import one_float
 from .collective import MediumChirality
-from .errors import OracleDivergence
+from .errors import DomainError, InvalidSeparation, OracleDivergence
 from .geometry import DipoleGeometry, _separation
 
 _N_POLAR = 64           # polar nodes of a base pass (f2: at least this)
@@ -105,6 +106,8 @@ _HALF_WINDOW = 1.0      # PV window [1 - 1, 1 + 1] around the pole at k/k0 = 1
 _TAIL_START = 1.0 + _HALF_WINDOW
 _TAIL_SEGMENTS = 48     # fewest half-period tail segments of a base pass
 _K_MAX = 50.0           # the tail reaches at least this k/k0
+# largest n*x either oracle takes: f2's grids grow as y, its cost as y^2
+_Y_CEILING = 500.0
 
 
 @functools.cache
@@ -215,6 +218,19 @@ def _panel_average(y, mid0, half, n_panels, nodes, mu, weighted):
     return out.reshape(-1, nodes.size)[:n_panels]
 
 
+def _checked(x, m, refine_tol):
+    """x and refine_tol as floats after the oracles' documented checks."""
+    x = _separation(x)
+    if max(m.n_left, m.n_right) * x > _Y_CEILING:
+        raise InvalidSeparation(
+            f"separation x={x} is too large for the oracle: n*x must stay "
+            f"at or below {_Y_CEILING:g}")
+    refine_tol = one_float(refine_tol, DomainError, "refine_tol")
+    if not refine_tol > 0.0:
+        raise DomainError(f"refine_tol must be > 0, got {refine_tol}")
+    return x, refine_tol
+
+
 # ---------------------------------------------------------------------------
 # on-shell oracle
 
@@ -235,9 +251,11 @@ def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     polar rule is checked against a 128-node rule and OracleDivergence is
     raised if the two differ by more than refine_tol; the 64-node value is
     returned.  Raises InvalidSeparation unless x is one real number > 0
-    and finite.  Deterministic (fixed shapes and summation order).
+    with max(n_left, n_right) * x <= 500, and DomainError unless refine_tol
+    is one real number > 0 (inf turns the check off).  Deterministic
+    (fixed shapes and summation order).
     """
-    x = _separation(x)
+    x, refine_tol = _checked(x, m, refine_tol)
     inv = _ring(g)
     coarse = _f1_single(x, m, inv, _N_POLAR)
     fine = _f1_single(x, m, inv, 2 * _N_POLAR)
@@ -261,13 +279,15 @@ def _panels(a: float, b: float, n_panels: int):
 @functools.cache
 def _euler_weights(n):
     """C(n-1, k) / 2^(n-1), k < n: n - 1 rounds of pairwise averaging of n
-    partial sums as one dot.  The centre weight is correctly rounded, the
-    rest follow by the ratios (n-1-k)/(k+1), mirrored: exactly symmetric.
-    Each n is built once per process and shared read-only."""
-    k = np.arange(n // 2, n - 1)
-    upper = np.cumprod(np.concatenate(
-        [[math.comb(n - 1, n // 2) / 2 ** (n - 1)], (n - 1 - k) / (k + 1)]))
-    w = np.concatenate([upper[::-1], upper[n % 2:]])
+    partial sums as one dot.  The binomials come exact from the integer
+    recurrence and int / int division rounds correctly, so every weight is
+    correctly rounded and the weights are exactly symmetric.  Each n is
+    built once per process and shared read-only."""
+    c, scale, w = 1, 2 ** (n - 1), []
+    for k in range(n):
+        w.append(c / scale)
+        c = c * (n - 1 - k) // (k + 1)
+    w = np.array(w)
     w.flags.writeable = False
     return w
 
@@ -322,10 +342,11 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     twice the pole panels and tail segments of the base grid, and per
     grid the polar rule of the refined extent (at least 128 nodes).
     OracleDivergence is raised if the two runs differ by more than
-    refine_tol * max(|value|, 0.01), and InvalidSeparation unless x is one
-    real number > 0 and finite.  Returns the base-grid value.
+    refine_tol * max(|value|, 0.01); raises on x (n x above 500) and
+    refine_tol as f1_oracle does, and costs about (n x)^2 below that.
+    Returns the base-grid value.
     """
-    x = _separation(x)
+    x, refine_tol = _checked(x, m, refine_tol)
     inv = _ring(g)
     coarse = _f2_single(x, m, inv)
     fine = _f2_single(x, m, inv, refine=2)

@@ -1,8 +1,10 @@
 """Input contract of the library and the CLI, as hypothesis properties.
 
-For any pair of positive indices (Python floats or numpy scalars, up to
-the float maximum) MediumChirality builds a medium or raises a ChidipError,
-and it raises a ChidipError for an index that is not a real number.
+For any pair of positive indices (Python floats or numpy float64 or
+float32 scalars, up to the float maximum) MediumChirality builds a medium
+or raises a ChidipError, and it raises a ChidipError for an index that is
+not a real number.  Every public scalar number input takes numpy scalars
+of any width and refuses what is not one real number by the same rule.
 For any such medium and any x, a float or a 1-d array, each public closed
 form returns finite values or raises a ChidipError, and emits no warning.
 A float (or 0-d array) gives Python floats; an array gives arrays whose
@@ -23,12 +25,16 @@ import warnings
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chidip import (
     ChidipError,
+    DomainError,
     GeometryInvariants,
+    InvalidSeparation,
+    LambCutoff,
     MediumChirality,
     a_t,
     aux_i1,
@@ -41,6 +47,7 @@ from chidip import (
     normalize_geometry,
 )
 from chidip.cli import _FLAGS, SCENARIOS, main
+from chidip.oracle import f1_oracle, f2_oracle
 
 # each public closed form as x -> tuple of its float (or array) outputs
 CLOSED_FORMS = {
@@ -65,10 +72,15 @@ X = st.one_of(
 )
 # index pairs: moderate indices, and the whole positive float line, where
 # MediumChirality refuses what the closed forms cannot keep finite; each
-# index a Python float or a numpy scalar, and one time in ten not a number
-REAL_INDEX = st.tuples(
-    st.one_of(st.floats(0.1, 10.0), st.floats(5e-324, 1.7976931348623157e308)),
-    st.booleans()).map(lambda vb: np.float64(vb[0]) if vb[1] else vb[0])
+# index a Python float, a numpy float64 or a float32 scalar, and one time
+# in ten not a number
+POSITIVE = st.one_of(st.floats(0.1, 10.0),
+                     st.floats(5e-324, 1.7976931348623157e308))
+REAL_INDEX = st.one_of(
+    POSITIVE, POSITIVE.map(np.float64),
+    st.one_of(st.floats(0.125, 8.0, width=32),
+              st.floats(0.0, exclude_min=True, allow_infinity=False,
+                        width=32)).map(np.float32))
 INDEX = st.one_of(*[REAL_INDEX] * 9, st.sampled_from(["3", 1j, None]))
 MEDIA = st.tuples(INDEX, INDEX)
 UNIT = st.floats(-1.0, 1.0)
@@ -127,6 +139,52 @@ def test_array_x_matches_elementwise_floats(xs, indices, g):
             want = np.array([e[k] for e in each])
             np.testing.assert_allclose(column, want, rtol=1e-14,
                                        atol=1e-15 * m.n_bar, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# scalar number inputs: one rule, that of the closed forms' x
+
+ORTHOGONAL = normalize_geometry((1, 0, 0), (0, 1, 0), (0, 0, 1), 1.0)
+ACTIVE = MediumChirality(1.5, 2.0)
+INVARIANTS = GeometryInvariants(0.5, 0.25, 0.5)
+# every public scalar number input as (value -> result, the ChidipError it
+# raises for a value that is not one real number)
+SCALAR_SITES = {
+    "n_left": (lambda v: MediumChirality(v, 1.0), DomainError),
+    "n_right": (lambda v: MediumChirality(1.0, v), DomainError),
+    "n_bar": (lambda v: MediumChirality.from_mean_and_rotation(v, 0.5),
+              DomainError),
+    "rotation": (lambda v: MediumChirality.from_mean_and_rotation(3.0, v),
+                 DomainError),
+    "lambda_cutoff": (LambCutoff, DomainError),
+    "normalize_geometry x": (lambda v: normalize_geometry(
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), v), InvalidSeparation),
+    "f1 x": (lambda v: f1(v, ACTIVE, INVARIANTS), InvalidSeparation),
+    "f2 x": (lambda v: f2(v, ACTIVE, INVARIANTS), InvalidSeparation),
+    "aux_i1 u": (aux_i1, DomainError),
+    "f1_oracle refine_tol": (lambda v: f1_oracle(1.0, ACTIVE, ORTHOGONAL,
+                                                 refine_tol=v), DomainError),
+    "f2_oracle refine_tol": (lambda v: f2_oracle(1.0, ACTIVE, ORTHOGONAL,
+                                                 refine_tol=v), DomainError),
+}
+NOT_ONE_REAL = (True, "1", None, 1j, 10**400)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(np.float16(2), np.float32(2), np.float64(2), np.int64(2)),
+     *((v,) for v in NOT_ONE_REAL)],
+    ids=["numpy scalars", *map(repr, NOT_ONE_REAL[:-1]), "10**400"])
+def test_every_scalar_input_takes_numbers_by_one_rule(values):
+    # a numpy scalar of any width is taken as the Python float 2.0, with no
+    # warning; anything else is refused with the site's own ChidipError
+    for name, (site, error) in SCALAR_SITES.items():
+        for value in values:
+            got = _outcome(site, value)
+            if isinstance(value, np.generic):
+                assert repr(got) == repr(site(2.0)), name
+            else:
+                assert type(got) is error, name
 
 
 # ---------------------------------------------------------------------------

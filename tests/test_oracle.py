@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -246,18 +247,16 @@ def test_f2_grids_take_their_own_polar_rules(monkeypatch):
 
 def test_euler_weights_are_iterated_pairwise_averaging():
     # the binomial weights C(n-1, k) / 2^(n-1), built once per n and shared
-    # read-only, are exactly symmetric, each
-    # within 16 eps of its correctly rounded value or below 1e-300 (the
-    # product of the ratios drifts by some eps towards the ends: 6.8 eps at
-    # n = 2400), and their dot with n partial sums of an alternating series
-    # matches n - 1 rounds of pairwise averaging, the reference loop
+    # read-only, are each correctly rounded (so exactly symmetric), and
+    # their dot with n partial sums of an alternating series matches n - 1
+    # rounds of pairwise averaging, the reference loop
     rng = np.random.default_rng(27)
     for n in (1, 2, 3, 48, 49, 596, 2400):
         w = _euler_weights(n)
         assert w.shape == (n,) and np.array_equal(w, w[::-1])
         assert _euler_weights(n) is w and not w.flags.writeable
         exact = [math.comb(n - 1, k) / 2 ** (n - 1) for k in range(n)]
-        assert_allclose(w, exact, rtol=16 * EPS, atol=1e-300)
+        assert w.tolist() == exact
         for _ in range(5):
             partial = np.cumsum((-1.0) ** np.arange(n)
                                 * rng.uniform(0.5, 2.0, size=n))
@@ -422,6 +421,19 @@ def test_oracles_refuse_bad_separations():
         for oracle in (f1_oracle, f2_oracle):
             with pytest.raises(InvalidSeparation):
                 oracle(x, ACTIVE, ORTH)
+
+
+def test_oracles_refuse_n_x_beyond_the_ceiling():
+    # max(n_left, n_right) * x above 500 (here n_right = 2.5) is refused
+    # before any grid is built, so at once, where the grids would not fit in
+    # memory or the float range
+    m = MediumChirality(2.0, 2.5)
+    for x in (math.nextafter(200.0, math.inf), 1e200, 1e308):
+        for oracle in (f1_oracle, f2_oracle):
+            start = time.perf_counter()
+            with pytest.raises(InvalidSeparation, match="at or below 500"):
+                oracle(x, m, ORTH)
+            assert time.perf_counter() - start < 1.0
 
 
 def test_f2_oracle_divergence_detected():
