@@ -9,10 +9,14 @@ the power-series tables of both modules, ``piecewise`` picks their branch.
 separation, rates and times through ``as_floats`` too, so that a value of
 the wrong type raises the module's own ChidipError: ``as_floats`` is the
 one rule for what a number is, and ``one_float`` applies it to the scalar
-inputs (indices, Lamb cutoff, separation, oracle tolerance).
+inputs (indices, Lamb cutoff, separation, oracle tolerance).  A refusal
+echoes the value through ``reprlib``, which cuts a long number to 40
+characters and a list to its first six elements.
 """
 
 from __future__ import annotations
+
+import reprlib
 
 import numpy as np
 
@@ -28,16 +32,20 @@ def as_floats(values, error, what: str, dtype=float) -> np.ndarray:
     except ValueError:                  # a ragged nested sequence
         array = None
     if array is None or array.dtype.kind not in kinds:
-        raise error(f"{what} must be {kind}, got {values!r}")
+        raise error(f"{what} must be {kind}, got {reprlib.repr(values)}")
     return array.astype(dtype, copy=False)
 
 
 def one_float(value, error, what: str) -> float:
     """value as a Python float; raises error unless as_floats takes it and
     it is one number (0-d)."""
-    array = as_floats(value, error, what)
-    if array.ndim != 0:
-        raise error(f"{what} must be one number, got {value!r}")
+    try:
+        array = as_floats(value, error, what)
+    except error:
+        array = None
+    if array is None or array.ndim != 0:
+        raise error(
+            f"{what} must be a real number, got {reprlib.repr(value)}") from None
     return float(array)
 
 

@@ -13,41 +13,26 @@ choice of (e1, e2), so the projection is evaluated frame-free,
 
 and no transverse frame is built (the tests build M from an explicit
 frame as the reference for this form).
-Both oracles share one angular reduction, and it has one quadrature.  With
-the polar axis along r_hat the phase depends on mu = k_hat.r_hat only, and
-the projected dyadic is quadratic in k_hat, so its average over phi follows
-from the ring moments <k_hat> = mu r_hat and <k_hat k_hat> =
-(1 - mu^2)/2 (1 - r_hat r_hat) + mu^2 r_hat r_hat: a polynomial in mu, with
-no phi nodes.  The mu integral is done by Gauss-Legendre.  The on-shell
-part (f1) evaluates that average at |k| = n_lambda k0; the off-shell part
-(f2) additionally performs the radial principal-value integral over the
-mode frequency.  Every Gauss-Legendre rule, polar or radial, comes from
-_legendre_rule (Newton on the three-term recurrence, numpy alone), which
-builds each size once per process.
+Both oracles share one angular reduction.  With the polar axis along r_hat
+the phase depends on mu = k_hat.r_hat only, and the projected dyadic is
+quadratic in k_hat, so its average over phi follows from the ring moments
+<k_hat> = mu r_hat and <k_hat k_hat> = (1 - mu^2)/2 (1 - r_hat r_hat) +
+mu^2 r_hat r_hat: with b = (d2.r_hat)(r_hat.d1) and c = r_hat.(d2 x d1),
+the quadratic alpha + beta mu^2 + i s c mu in mu, alpha = (d2.d1 + b)/2
+and beta = (d2.d1 - 3b)/2, with no phi nodes.  The on-shell part (f1)
+evaluates the mu average at |k| = n_lambda k0 by Gauss-Legendre; the
+off-shell part (f2) needs it at every node of a radial principal-value
+integral over the mode frequency, and takes it there exactly: the averages
+of 1, mu and mu^2 against exp(i z mu) over mu in [-1, 1] are
 
-Both oracles also share one phase kernel.  Every radial grid is made of
-P equal-width Gauss-Legendre panels (f1 is a single panel of zero width at
-k = 1), mid_p = mid_0 + 2 h p, and at the node mid_p + h xi_l of panel p
-the phase factors as
+    m0 = sin z / z,   i m1 = i (m0 - cos z) / z,
+    m2 = m0 + 2 (cos z - m0) / z^2,
 
-    exp(i y (mid_p + h xi_l) mu_j) = exp(i y mid_p mu_j) exp(i y h xi_l mu_j).
-
-With p = b B + j in blocks of b = ceil(sqrt(P)) panels, exp(i y mid_p mu_j)
-is the block's start phase exp(i y mid_bB mu_j), folded into the (mu x
-panel nodes) matrix, times the offset phase step^j, step = exp(i y 2 h
-mu_j), one (b x mu) matrix for every block.  The phases come from
-multiplication ladders.  The offsets double: rows 1 to 2^k times
-step^(2^k) give rows 2^k + 1 to 2^(k+1), so row j carries about log2(j)
-roundings (a running product carries j, and made the f2 oracle's rounding
-error against phases taken in long double about twice as large).  Each
-block's start is the previous one times step^b.  A grid's panel phases
-thus take two exps per polar node, the step and the first start, where
-a direct sum takes P, and temporaries of O(sqrt(P) n_polar + n_polar L)
-reals.  Only the
-real part of the sum is needed, the mu rule is symmetric and the phi
-average at -mu is the conjugate of the one at +mu, so the angular
-reduction keeps the mu > 0 half of the rule (every polar count is even)
-with doubled weights, which halves the polar count the product sees.
+so the average is alpha m0 + beta m2 - s c m1 (real).  A test checks these
+moments against Gauss-Legendre on the same polynomial, and A6 checks
+Gauss-Legendre against f1.  Every Gauss-Legendre rule, polar or radial,
+comes from _legendre_rule (Newton on the three-term recurrence, numpy
+alone), which builds each size once per process.
 
 Normalization is fixed analytically by the calibration limit: an inactive
 medium with parallel dipoles must give n_bar/2 as x -> 0, which pins the
@@ -59,31 +44,33 @@ closed form.
 
 The radial integrand of f2, h(k) (1/(k-1) + 1/(k+1)) with its resonant
 and non-resonant branch, is q(k)/(k-1) with q(k) = h(k) 2k/(k+1), one
-integrand on every grid.  It grows ~k with undamped oscillation and is
+integrand on every grid.  It grows ~k^2 with undamped oscillation and is
 only Abel summable, so a fixed truncation can never converge; instead the
 pole window is integrated by symmetric-grid subtraction (exact PV fold of
 q), and beyond the window the tail is accumulated in half-period segments
-whose n partial sums are contracted to their binomial mean, weights
-C(n-1, k) / 2^(n-1) (Euler acceleration of an alternating series).
+(pi/y in k/k0) whose n partial sums are contracted to their binomial mean,
+weights C(n-1, k) / 2^(n-1) (Euler acceleration of an alternating series).
 The pole window is [0, 2] (k/k0), integrated on panels of 16
-Gauss-Legendre points; the tail starts at 2 and has at least 48 segments
-of 10 points, and always reaches at least k/k0 = 50 before acceleration.
-Each distinct index has its own grids and polar rules, so the value of
-one channel never depends on the other's index.  The projected dyadic is
-linear in s, so the channels of one index (both, in an inactive medium)
-are one pass with the summed weights, and their helicity terms cancel
-exactly.  Each radial grid has its own polar rule, with at least 64 and
-at least 0.55 z + 40 nodes, z the grid's largest phase argument y k,
-rounded up to a multiple of 64 so that few sizes recur across x: the
-window's z is 2y (it ends at k/k0 = 2), the tail's is y times its far
-end.  These grids are fixed: the refinement check below, not a tuning
-knob, guards their accuracy.
+Gauss-Legendre points; the tail starts at 2 and has at least 48 segments,
+and always reaches at least k/k0 = 50 before acceleration.  Each segment
+is split into ceil(pi/(2y)) equal panels of 10 Gauss-Legendre points, so
+no panel is wider than 2 in k/k0 however long the half period, and its
+panels are summed before the Euler mean.  The split makes the tail grid
+grow as 1/y below y = pi/2, so f2 takes n x from 0.01 up, where its two
+passes stay within about 25 MB.  Each distinct index has its own
+grids, so the value of one channel never depends on the other's index.
+The projected dyadic is linear in s, so the channels of one index (both,
+in an inactive medium) are one pass with the summed weights, and their
+helicity terms cancel exactly.  These grids are fixed: the refinement
+check below, not a tuning knob, guards their accuracy.
 
-Each oracle checks itself against a refined pass: f1 (64 polar nodes)
-against a rule with 128, f2 against a grid with twice the pole panels
-(half their width), twice the tail segments (so the tail reaches twice as
-far) and, per grid, the polar rule of its extent, never fewer than 128
-nodes.
+Each oracle checks itself against a refined pass.  f1 takes 64 *
+ceil((0.55 y + 40) / 64) polar nodes (64 up to y = 43) and checks them
+against twice as many.  f2's refined grid has twice the pole panels (half
+their width), twice the tail segments (so the tail reaches twice as far)
+and twice the panels per segment, so its drift sees every radial rule and
+the tail's reach; the angular moments are exact and have no rule to
+refine.
 
 These functions are verification fixtures: production code should use the
 closed forms in :mod:`chidip.collective`, which are ~10^3 x faster.
@@ -101,13 +88,15 @@ from .collective import MediumChirality
 from .errors import DomainError, InvalidSeparation, OracleDivergence
 from .geometry import DipoleGeometry, _separation
 
-_N_POLAR = 64           # polar nodes of a base pass (f2: at least this)
+_N_POLAR = 64           # f1's polar nodes come in multiples of this
 _HALF_WINDOW = 1.0      # PV window [1 - 1, 1 + 1] around the pole at k/k0 = 1
 _TAIL_START = 1.0 + _HALF_WINDOW
 _TAIL_SEGMENTS = 48     # fewest half-period tail segments of a base pass
 _K_MAX = 50.0           # the tail reaches at least this k/k0
-# largest n*x either oracle takes: f2's grids grow as y, its cost as y^2
+# largest n*x either oracle takes: f2's grids grow as y
 _Y_CEILING = 500.0
+# smallest n*x f2 takes: its tail grid grows as 1/y below y = pi/2
+_Y_FLOOR = 0.01
 
 
 @functools.cache
@@ -138,13 +127,13 @@ def _legendre_rule(n):
     return rule
 
 
-# the rules of the pole panels and of the tail segments
+# the rules of the pole panels and of the tail panels
 _POLE_X, _POLE_W = _legendre_rule(16)
 _TAIL_X, _TAIL_W = _legendre_rule(10)
 
 
 # ---------------------------------------------------------------------------
-# angular reduction and phase kernel shared by both oracles
+# angular reduction shared by both oracles
 
 def _ring(g):
     """The invariants d2.d1, b = (d2.r_hat)(r_hat.d1) and c = r_hat.(d2 x d1)
@@ -184,38 +173,24 @@ def _reduced_angular(inv, hel, n_polar):
     return mu, wmu * (len(hel) * even + sum(hel) * 1j * mu * c)
 
 
-def _panel_average(y, mid0, half, n_panels, nodes, mu, weighted):
-    """Re of the (dOmega/4pi) angular average sum_j weighted[j]
-    exp(i y kt mu[j]) / 2 at every radial factor kt = mid0 + 2 half p +
-    half nodes[l], p < n_panels, of a grid from _panels; returns the (P x L)
-    values.  mu and weighted are the folded half rule of _reduced_angular.
-    Block B of b = ceil(sqrt(P)) panels is the (b x J) @ (J x L) product of
-    the offset phases step^j, step = exp(i y 2 half mu), built by doubling,
-    and the node matrix times the block's start phase, the previous start
-    times step^b (module docstring): one real matmul of the stacked real
-    and imaginary offsets with the node matrix viewed as reals, then one
-    subtraction of the two halves that make the real part.
+def _ring_average(z, inv, hel):
+    """The (dOmega/4pi) average of the projected dyadic of _reduced_angular,
+    summed over hel, times exp(i z mu), at every z > 0 of the array z:
+    alpha m0 + beta m2 - gamma m1 with the exact moments of the module
+    docstring, alpha = len(hel) (d2.d1 + b)/2, beta = len(hel) (d2.d1 -
+    3b)/2 and gamma = sum(hel) c.  m1 and m2 cancel to O(z) and O(1) from
+    terms of size 1/z^2, so their error is about eps (1 + 1/z^2) times
+    |alpha| + |beta| + |gamma|; in f2's q(k) the factor k^4 holds that to
+    eps k^2 / y^2, below the rounding of the sums at every y f2 takes.
     """
-    inner = (0.5 * weighted[:, None]
-             * np.exp(1j * y * half * np.multiply.outer(mu, nodes)))
-    block = math.isqrt(n_panels - 1) + 1            # ceil(sqrt(P))
-    ladder = np.empty((block + 1, mu.size), dtype=complex)
-    ladder[0] = 1.0
-    ladder[1] = np.exp(2j * y * half * mu)
-    done = 1                        # rows <= done hold step^j: double them
-    while done < block:
-        more = min(done, block - done)
-        np.multiply(ladder[1:more + 1], ladder[done],
-                    out=ladder[done + 1:done + more + 1])
-        done += more
-    offset = np.concatenate([ladder[:block].real, ladder[:block].imag])
-    start = np.exp(1j * y * mid0 * mu)
-    out = np.empty((-(-n_panels // block), block, nodes.size))
-    for rows in out:
-        prod = offset @ (start[:, None] * inner).view(float)
-        np.subtract(prod[:block, 0::2], prod[block:, 1::2], out=rows)
-        start *= ladder[block]
-    return out.reshape(-1, nodes.size)[:n_panels]
+    d21, b, c = inv
+    u = 1.0 / z
+    cos = np.cos(z)
+    m0 = np.sin(z) * u
+    m1 = u * (m0 - cos)
+    m2 = m0 + 2.0 * u * u * (cos - m0)
+    return (len(hel) * (0.5 * (d21 + b) * m0 + 0.5 * (d21 - 3.0 * b) * m2)
+            - sum(hel) * c * m1)
 
 
 def _checked(x, m, refine_tol):
@@ -234,12 +209,17 @@ def _checked(x, m, refine_tol):
 # ---------------------------------------------------------------------------
 # on-shell oracle
 
-def _f1_single(x, m, inv, n_polar):
-    # one panel of zero half-width at kt = 1, one pass per distinct index
-    return sum((3.0 * n / 8.0) * float(_panel_average(
-        n * x, 1.0, 0.0, 1, np.zeros(1),
-        *_reduced_angular(inv, hel, n_polar))[0, 0])
-        for n, hel in _by_index(m).items())
+def _f1_single(x, m, inv, refine=1):
+    """One pass of the f1 quadrature, one distinct index at a time, on
+    refine * 64 * ceil((0.55 y + 40) / 64) polar nodes."""
+    total = 0.0
+    for n, hel in _by_index(m).items():
+        y = n * x
+        n_polar = _N_POLAR * refine * math.ceil((0.55 * y + 40) / _N_POLAR)
+        mu, w = _reduced_angular(inv, hel, n_polar)
+        average = (w * np.exp(1j * y * mu)).real.sum() / 2
+        total += (3.0 * n / 8.0) * float(average)
+    return total
 
 
 def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
@@ -247,33 +227,35 @@ def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     """On-shell coefficient by angular quadrature of the mode sum at |k| = n k0.
 
     The explicit separation argument is used (g.x is not consulted, so one
-    geometry object can serve a whole sweep).  The value of the 64-node
-    polar rule is checked against a 128-node rule and OracleDivergence is
-    raised if the two differ by more than refine_tol; the 64-node value is
-    returned.  Raises InvalidSeparation unless x is one real number > 0
-    with max(n_left, n_right) * x <= 500, and DomainError unless refine_tol
-    is one real number > 0 (inf turns the check off).  Deterministic
-    (fixed shapes and summation order).
+    geometry object can serve a whole sweep).  Each index n takes a polar
+    rule of 64 * ceil((0.55 n x + 40) / 64) nodes (64 up to n x = 43); its
+    value is checked against a rule of twice as many nodes and
+    OracleDivergence is raised if the two differ by more than refine_tol;
+    the base value is returned.  Raises InvalidSeparation unless x is one
+    real number > 0 with max(n_left, n_right) * x <= 500, and DomainError
+    unless refine_tol is one real number > 0 (inf turns the check off).
+    Deterministic (fixed shapes and summation order).
     """
     x, refine_tol = _checked(x, m, refine_tol)
     inv = _ring(g)
-    coarse = _f1_single(x, m, inv, _N_POLAR)
-    fine = _f1_single(x, m, inv, 2 * _N_POLAR)
+    coarse = _f1_single(x, m, inv)
+    fine = _f1_single(x, m, inv, refine=2)
     if abs(fine - coarse) > refine_tol:
         raise OracleDivergence(
             f"f1 quadrature drift {abs(fine - coarse):.3e} > {refine_tol:.1e} "
-            f"at x={x} with {_N_POLAR} polar nodes")
+            f"at x={x}")
     return coarse
 
 
 # ---------------------------------------------------------------------------
 # off-shell (principal value) oracle
 
-def _panels(a: float, b: float, n_panels: int):
-    """First midpoint, common half-width and count of n equal panels on
-    [a, b], the grid of _panel_average."""
+def _panels(a: float, b: float, n_panels: int, nodes):
+    """The common half-width of n equal panels on [a, b] and the radial
+    nodes (n_panels x len(nodes)) of the rule nodes on each."""
     half = 0.5 * (b - a) / n_panels
-    return a + half, half, n_panels
+    mids = a + half * (2.0 * np.arange(n_panels) + 1.0)
+    return half, mids[:, None] + half * nodes
 
 
 @functools.cache
@@ -294,11 +276,8 @@ def _euler_weights(n):
 
 def _f2_single(x, m, inv, refine=1):
     """One pass of the f2 quadrature, one distinct index at a time; refine
-    = 2 doubles the pole panel and tail segment counts of the base pass
-    (refine = 1).  Each radial grid of an index takes its own polar rule,
-    at least refine * _N_POLAR nodes and a multiple of _N_POLAR, from its
-    own largest phase argument: the window's from y _TAIL_START, the
-    tail's from y times its far end."""
+    = 2 doubles the pole panels, the tail segments and the panels per tail
+    segment of the base pass (refine = 1)."""
     total = 0.0
     for n, hel in _by_index(m).items():
         y = n * x
@@ -307,27 +286,24 @@ def _f2_single(x, m, inv, refine=1):
         n_pan = refine * max(8, math.ceil(_TAIL_START * y / math.pi))
         n_seg = refine * max(_TAIL_SEGMENTS,
                              math.ceil((_K_MAX - _TAIL_START) / seg_len))
+        split = refine * math.ceil(seg_len / 2.0)
 
         # the half-width and nodes k of n equal panels on [a, b] and q(k) =
-        # h(k) 2k/(k+1) at them, h(k) = weight k^3 times the angular average
-        # on the polar rule of the grid's largest phase argument z = y b
+        # h(k) 2k/(k+1) at them, h(k) = weight k^3 times the ring average
         def q(a, b, n_panels, nodes):
-            mid0, half, _ = grid = _panels(a, b, n_panels)
-            n_polar = _N_POLAR * max(refine,
-                                     math.ceil((0.55 * y * b + 40) / _N_POLAR))
-            mids = mid0 + 2.0 * half * np.arange(n_panels)
-            k = mids[:, None] + half * nodes
-            return half, k, (weight * 2.0 * k**4 / (k + 1.0) * _panel_average(
-                y, *grid, nodes, *_reduced_angular(inv, hel, n_polar)))
+            half, k = _panels(a, b, n_panels, nodes)
+            return half, k, (weight * 2.0 * k**4 / (k + 1.0)
+                             * _ring_average(y * k, inv, hel))
 
         # node (p, l) of the window's upper half mirrors (-1-p, -1-l) about 1
         half, k, q_pole = q(1.0 - _HALF_WINDOW, 1.0 + _HALF_WINDOW,
                             2 * n_pan, _POLE_X)
         fold = q_pole[n_pan:] - q_pole[n_pan - 1::-1, ::-1]
         pv = float((half * _POLE_W * fold / (k[n_pan:] - 1.0)).sum())
-        half, k, q_tail = q(_TAIL_START, _TAIL_START + n_seg * seg_len, n_seg,
-                            _TAIL_X)
-        partial = np.cumsum((half * _TAIL_W * q_tail / (k - 1.0)).sum(1))
+        half, k, q_tail = q(_TAIL_START, _TAIL_START + n_seg * seg_len,
+                            n_seg * split, _TAIL_X)
+        segments = (half * _TAIL_W * q_tail / (k - 1.0)).reshape(n_seg, -1)
+        partial = np.cumsum(segments.sum(1))
         total += (pv + float(_euler_weights(n_seg) @ partial)) / math.pi
     return total
 
@@ -338,15 +314,21 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
 
     The pole window is integrated by symmetric-grid subtraction and the
     oscillatory tail by half-period segmentation with Euler's binomial mean
-    (see module docstring).  The value is re-computed on a refined grid:
-    twice the pole panels and tail segments of the base grid, and per
-    grid the polar rule of the refined extent (at least 128 nodes).
+    (see module docstring); the angular average at each radial node is
+    exact.  The value is re-computed on a refined grid: twice the pole
+    panels, the tail segments and the panels per segment of the base grid.
     OracleDivergence is raised if the two runs differ by more than
     refine_tol * max(|value|, 0.01); raises on x (n x above 500) and
-    refine_tol as f1_oracle does, and costs about (n x)^2 below that.
+    refine_tol as f1_oracle does, and InvalidSeparation where min(n_left,
+    n_right) * x < 0.01, where the split tail segments would take a grid
+    growing as 1/(n x).  Its cost grows linearly in n x above n x ~ 1.
     Returns the base-grid value.
     """
     x, refine_tol = _checked(x, m, refine_tol)
+    if min(m.n_left, m.n_right) * x < _Y_FLOOR:
+        raise InvalidSeparation(
+            f"separation x={x} is too small for the f2 oracle: n*x must stay "
+            f"at or above {_Y_FLOOR:g}")
     inv = _ring(g)
     coarse = _f2_single(x, m, inv)
     fine = _f2_single(x, m, inv, refine=2)
@@ -354,6 +336,6 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     scale = max(abs(fine), 0.01)
     if drift > refine_tol * scale:
         raise OracleDivergence(
-            f"f2 radial/angular refinement drift {drift:.3e} exceeds "
+            f"f2 radial refinement drift {drift:.3e} exceeds "
             f"{refine_tol:.1e} * {scale:.3g} at x={x}")
     return coarse

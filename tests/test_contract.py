@@ -187,6 +187,20 @@ def test_every_scalar_input_takes_numbers_by_one_rule(values):
                 assert type(got) is error, name
 
 
+def test_refusals_echo_a_bounded_value():
+    # a refusal cuts the value it echoes to a few elements of a few dozen
+    # characters each: 10**400 has 401 digits, and the lists 300 elements
+    # (at 434 and 1531 characters a message used to echo them whole); a
+    # scalar input asks for "a real number"
+    for name, (site, error) in SCALAR_SITES.items():
+        for value in (10**400, list(range(300)), [10**400] * 300):
+            got = _outcome(site, value)
+            assert type(got) is error and len(str(got)) <= 320, name
+    got = _outcome(lambda v: MediumChirality(v, 1.0), 10**400)
+    assert str(got) == f"n_left must be a real number, got {'1' + '0' * 17}" \
+        f"...{'0' * 19}"
+
+
 # ---------------------------------------------------------------------------
 # geometry
 

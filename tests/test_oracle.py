@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,9 +24,9 @@ from chidip import oracle
 from chidip.oracle import (
     _euler_weights,
     _legendre_rule,
-    _panel_average,
     _reduced_angular,
     _ring,
+    _ring_average,
     f1_oracle,
     f2_oracle,
 )
@@ -178,71 +179,93 @@ def test_reduced_angular_is_linear_in_helicity():
 
 
 # ---------------------------------------------------------------------------
-# the panel-factored phase kernel
+# the exact ring average of f2 and its grids
 
-def test_panel_average_matches_direct_node_sum():
-    # the blocked (b x J) @ (J x L) products over the mu >= 0 half of the
-    # rule, with folded weights, against one exp per radial node and polar
-    # node of the full rule whose weights satisfy w(-mu) = conj w(mu), on
-    # grids of equal panels running up (half > 0) and down (half < 0); the
-    # panel counts give one block of one panel, one block of two, full
-    # blocks (a square), a short last block (a square + 1), 299 panels, and
-    # the 2400 and 4584 panels of the x = 50 tail grids, whose 49 and 68
-    # blocks carry the start phase ladder furthest; up to 300 panels spread
-    # evenly over the grid, its first and last among them, are compared.
-    # A panel spans at most 2 pi of phase, and at most 600 pi over the
-    # whole grid: the reference rounds each phase argument z to about
-    # z eps, which past z ~ 10^4 alone exceeds the tolerance
-    rng = np.random.default_rng(24)
-    for n_polar, n_gl in ((8, 4), (31, 10), (64, 16), (301, 10), (1200, 16)):
-        mu, wmu = roots_legendre(n_polar)
-        lo = n_polar // 2
-        upper = wmu[lo:] * (rng.normal(size=mu.size - lo)
-                            + 1j * rng.normal(size=mu.size - lo))
-        if n_polar % 2:     # the weight at mu = 0 is its own conjugate
-            upper[0] = upper[0].real
-        weighted = np.concatenate([upper[n_polar % 2:][::-1].conj(), upper])
-        nodes, _ = roots_legendre(n_gl)
-        for n_panels in (1, 2, 49, 50, 299, 2400, 4584):
-            rows = np.unique(np.linspace(0, n_panels - 1, 300).astype(int))
-            for sign in (1.0, -1.0):
-                y = rng.uniform(0.5, 20.0)
-                half = (sign * rng.uniform(0.0, 1.0) * math.pi / y
-                        * min(1.0, 300 / n_panels))
-                mid0 = rng.uniform(0.0, 2000.0 / y)
-                got = _panel_average(y, mid0, half, n_panels, nodes, mu[lo:],
-                                     _fold(mu, weighted))
-                kt = ((mid0 + 2.0 * half * rows)[:, None] + half * nodes)
-                phase = np.exp(1j * y * np.multiply.outer(kt, mu))
-                want = 0.5 * (phase @ weighted).real
-                assert got.shape == (n_panels, n_gl)
-                assert_allclose(got[rows], want, rtol=1e-12, atol=1e-12)
+def _random_ring(rng):
+    """The invariants of a random geometry and a random helicity set: one
+    channel of either helicity, or both channels of one index."""
+    hel = ((1.0,), (-1.0,), (1.0, -1.0))[rng.integers(3)]
+    return _ring(_random_geometry(rng)), hel
 
 
-def test_f2_grids_take_their_own_polar_rules(monkeypatch):
-    # each radial grid of an index takes the polar rule of its own largest
-    # phase argument z, 64 * max(refine, ceil((0.55 z + 40) / 64)) nodes:
-    # the pole window's z = 2y (it ends at k/k0 = 2), the tail's z = y times
-    # its far end.  At x = 20, y = 20 (n = 1) gives the window z = 40 (64
-    # nodes) and the tail z = 1001 (640), y = 60 (n = 3) the window z = 120
-    # (128) and the tail z = 3001 (1728); the refined pass has at least 128
-    # nodes, and its tails reach twice as far (1152 and 3328 nodes)
+def _ring_scale(inv, hel):
+    """|alpha| + |beta| + |gamma| of _ring_average's quadratic in mu."""
+    d21, b, c = inv
+    return (len(hel) * (abs(d21 + b) + abs(d21 - 3.0 * b)) / 2
+            + abs(sum(hel) * c))
+
+
+def test_ring_average_matches_gauss_legendre_of_the_same_polynomial():
+    # the exact moments against the folded Gauss-Legendre rule of
+    # _reduced_angular, sized as f1_oracle sizes it, at z from 1e-3 to 2e3:
+    # the moments cancel terms of size 1/z^2 (measured <= 0.95 eps / z^2 of
+    # the scale), the rule rounds its phases z mu (measured <= 9 eps)
+    rng = np.random.default_rng(29)
+    for z in np.geomspace(1e-3, 2e3, 60):
+        inv, hel = _random_ring(rng)
+        n_polar = 64 * math.ceil((0.55 * z + 40) / 64)
+        mu, w = _reduced_angular(inv, hel, n_polar)
+        want = (w * np.exp(1j * z * mu)).real.sum() / 2
+        got = _ring_average(np.array([z]), inv, hel)
+        assert got.shape == (1,)
+        assert abs(got[0] - want) <= EPS * (32 + 2 / z**2) * _ring_scale(inv,
+                                                                        hel)
+
+
+def test_ring_average_matches_mpmath_moments():
+    # m0 = sin z / z, m1 = (m0 - cos z) / z and m2 = m0 + 2 (cos z - m0) / z^2
+    # at 30 digits, up to z = 5e4 (f2 at n x = 500 reaches z ~ 4.9e4), where
+    # Gauss-Legendre rules take minutes to build: measured error <= 0.95 eps
+    # / z^2 of the scale below z = 1 and <= 0.5 eps above it
+    rng = np.random.default_rng(30)
+    zs = np.geomspace(1e-3, 5e4, 120)
+    invs = [_random_ring(rng) for _ in zs]
+    with mpmath.workdps(30):
+        for z, (inv, hel) in zip(zs, invs):
+            d21, b, c = (mpmath.mpf(float(v)) for v in inv)
+            v = mpmath.mpf(float(z))
+            m0, cos = mpmath.sin(v) / v, mpmath.cos(v)
+            m1 = (m0 - cos) / v
+            m2 = m0 + 2 * (cos - m0) / v**2
+            want = (len(hel) * ((d21 + b) * m0 + (d21 - 3 * b) * m2) / 2
+                    - sum(hel) * c * m1)
+            got = _ring_average(np.array([z]), inv, hel)[0]
+            assert abs(got - float(want)) <= EPS * (1 + 2 / z**2) \
+                * _ring_scale(inv, hel), z
+
+
+def test_f2_grids_split_the_tail_segments(monkeypatch):
+    # the refined pass doubles the pole panels, the tail segments and the
+    # panels per segment, split = refine * ceil(pi / (2 y)), and each
+    # segment's panels are one partial sum of the Euler mean.  At x = 0.05,
+    # y = 0.05 (n = 1) has half periods of 62.8 in k/k0, so 48 segments of
+    # 32 panels; y = 0.15 (n = 3) 48 segments of 11.  At x = 20, y = 20
+    # takes 306 segments and y = 60 917, of one panel each.  The pole window
+    # has 2 max(8, ceil(2 y / pi)) panels: 16 at x = 0.05, 26 and 78 at 20
     seen = []
 
-    def recording(inv, hel, n_polar):
-        seen.append((hel, n_polar))
-        return reduced_angular(inv, hel, n_polar)
+    def recording(a, b, n_panels, nodes):
+        seen.append(n_panels)
+        return panels(a, b, n_panels, nodes)
 
-    reduced_angular = oracle._reduced_angular
-    monkeypatch.setattr(oracle, "_reduced_angular", recording)
+    def euler(n):
+        seen.append(("euler", n))
+        return euler_weights(n)
+
+    panels, euler_weights = oracle._panels, oracle._euler_weights
+    monkeypatch.setattr(oracle, "_panels", recording)
+    monkeypatch.setattr(oracle, "_euler_weights", euler)
     inv = _ring(ORTH)
     m = MediumChirality(1.0, 3.0)
-    for refine, rules in ((1, (64, 640, 128, 1728)),
-                          (2, (128, 1152, 128, 3328))):
+    for x, refine, (pole1, seg1, split1, pole3, seg3, split3) in (
+            (0.05, 1, (16, 48, 32, 16, 48, 11)),
+            (0.05, 2, (32, 96, 64, 32, 96, 22)),
+            (20.0, 1, (26, 306, 1, 78, 917, 1)),
+            (20.0, 2, (52, 612, 2, 156, 1834, 2))):
         seen.clear()
-        oracle._f2_single(20.0, m, inv, refine)
-        assert seen == [((1.0,), rules[0]), ((1.0,), rules[1]),
-                        ((-1.0,), rules[2]), ((-1.0,), rules[3])]
+        oracle._f2_single(x, m, inv, refine)
+        assert seen == [pole1, seg1 * split1, ("euler", seg1),
+                        pole3, seg3 * split3, ("euler", seg3)], (x, refine)
 
 
 def test_euler_weights_are_iterated_pairwise_averaging():
@@ -289,7 +312,7 @@ def test_f1_oracle_matches_closed_form_active_isotropic():
 
 
 def test_f1_oracle_refinement_stability():
-    # the 64- and 128-node polar rules agree to 1e-10, or the oracle raises
+    # the base and the refined polar rule agree to 1e-10, or the oracle raises
     rng = np.random.default_rng(19)
     g = _random_geometry(rng)
     for x in (0.5, 3.0, 10.0):
@@ -315,12 +338,15 @@ def test_f1_oracle_helicity_swap_symmetry():
 
 
 def test_f1_oracle_divergence_detected():
-    # the 64-node polar rule cannot resolve the phase n*x = 270 of x = 60;
-    # the internal node-doubling check must catch it
+    # at x = 60 (n x = 270) the polar rule is sized from y, 192 nodes against
+    # 384, and agrees with f1; the drift between them, measured 9.4e-16, is
+    # not zero, so a tolerance below it must trip the node-doubling check
     rng = np.random.default_rng(23)
     g = _random_geometry(rng)
+    want = f1(60.0, ACTIVE, geometry_factors(g))
+    assert abs(f1_oracle(60.0, ACTIVE, g) - want) <= 5e-15
     with pytest.raises(OracleDivergence):
-        f1_oracle(60.0, ACTIVE, g)
+        f1_oracle(60.0, ACTIVE, g, refine_tol=1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +364,32 @@ def test_f2_oracle_matches_closed_form():
                       (4.0, ACTIVE, ISO), (2.0, ACTIVE, ORTH_DOWN)):
         want = f2(x, m, geometry_factors(geo))
         got = f2_oracle(x, m, geo)
-        assert abs(got - want) / max(abs(want), 0.01) < 1e-3
+        # measured worst 2.5e-13
+        assert abs(got - want) / max(abs(want), 0.01) <= 1e-10
+
+
+def test_f2_oracle_error_is_bounded_by_its_drift():
+    # the drift between the base and the refined pass, which refines every
+    # radial rule and the tail's reach, bounds the error against the closed
+    # form: |f2 - f2_oracle| <= 10 drift + 5e-11 max(|f2|, 0.01), the floor
+    # the rounding of the tail sums sets, over x log-uniform in [0.03, 10],
+    # indices in [0.5, 3.25] and random directions
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        x = math.exp(rng.uniform(math.log(0.03), math.log(10.0)))
+        m = MediumChirality(*rng.uniform(0.5, 3.25, size=2))
+        g = _random_geometry(rng)
+        inv = _ring(g)
+        coarse = oracle._f2_single(x, m, inv)
+        drift = abs(oracle._f2_single(x, m, inv, refine=2) - coarse)
+        want = f2(x, m, geometry_factors(g))
+        assert abs(coarse - want) <= 10 * drift + 5e-11 * max(abs(want),
+                                                              0.01), (x, m)
 
 
 def test_f2_oracle_matches_closed_form_on_multi_block_grids():
-    # at x = 20 and 50 the tail grids have 306 to 4584 panels (and the Euler
-    # mean as many partial sums) in 18 to 68 blocks of the phase kernel; A7
-    # samples only x <= 4
+    # at x = 20 and 50 the tail grids have 306 to 4584 segments (and the
+    # Euler mean as many partial sums); A7 samples x = 20 in other media
     m = MediumChirality(1.0, 3.0)
     for x in (20.0, 50.0):
         for g in (ORTH, ISO):
@@ -365,7 +410,8 @@ def test_f2_oracle_isolates_nonresonant_term():
             aux_i1(y).value / y + aux_i2(y).value / y**2)
     trig_only = f2(x, m, inv) - aux
     isolated = f2_oracle(x, m, geo) - trig_only
-    assert abs(isolated - aux) / abs(aux) < 1e-3
+    # measured 3.0e-12
+    assert abs(isolated - aux) / abs(aux) <= 1e-9
 
 
 def test_f2_oracle_helicity_swap_symmetry():
@@ -377,7 +423,7 @@ def test_f2_oracle_helicity_swap_symmetry():
 
 
 def test_f2_oracle_channels_are_independent():
-    # each helicity channel has its own grid and polar rule, so exchanging
+    # each helicity channel has its own grids, so exchanging
     # the n_right of two media leaves the sum of their f2 values unchanged
     # up to the rounding of the sums
     for g in (ORTH, ISO):
@@ -411,7 +457,7 @@ def test_oracles_see_helicity_only_in_an_active_medium():
     for x in (1.0, 2.0, 4.0):
         want = f2(x, ACTIVE, geometry_factors(ORTH))
         got = f2_oracle(x, ACTIVE, ORTH)
-        tol = 1e-3 * max(abs(want), 0.01)
+        tol = 1e-10 * max(abs(want), 0.01)
         assert abs(got - want) <= tol < abs(got)
 
 
@@ -434,6 +480,21 @@ def test_oracles_refuse_n_x_beyond_the_ceiling():
             with pytest.raises(InvalidSeparation, match="at or below 500"):
                 oracle(x, m, ORTH)
             assert time.perf_counter() - start < 1.0
+
+
+def test_f2_oracle_refuses_n_x_below_the_floor():
+    # min(n_left, n_right) * x below 0.01 is refused at once, where the
+    # split tail segments would need a grid growing as 1 / (n x); f1_oracle
+    # has no such grid and takes it
+    m = MediumChirality(0.5, 2.5)
+    for x in (math.nextafter(0.02, 0.0), 1e-6, 5e-324):
+        start = time.perf_counter()
+        with pytest.raises(InvalidSeparation, match="at or above 0.01"):
+            f2_oracle(x, m, ORTH)
+        assert time.perf_counter() - start < 1.0
+    f2_oracle(0.02, m, ORTH)
+    assert abs(f1_oracle(1e-6, m, ISO) - f1(1e-6, m, geometry_factors(ISO))) \
+        <= 5e-15
 
 
 def test_f2_oracle_divergence_detected():
