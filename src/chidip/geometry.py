@@ -108,5 +108,10 @@ def geometry_factors(g: DipoleGeometry) -> GeometryInvariants:
     """
     a = float(g.d2_hat @ g.d1_hat)
     b = float((g.d2_hat @ g.r_hat) * (g.r_hat @ g.d1_hat))
-    c = float(np.cross(g.d2_hat, g.d1_hat) @ g.r_hat)
+    # d2_hat x d1_hat by components: np.cross costs ~25 us on a 3-vector
+    d1, d2 = g.d1_hat, g.d2_hat
+    cross = np.array([d2[1] * d1[2] - d2[2] * d1[1],
+                      d2[2] * d1[0] - d2[0] * d1[2],
+                      d2[0] * d1[1] - d2[1] * d1[0]])
+    c = float(cross @ g.r_hat)
     return GeometryInvariants(a, b, c)

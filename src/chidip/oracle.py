@@ -28,11 +28,14 @@ of 1, mu and mu^2 against exp(i z mu) over mu in [-1, 1] are
     m0 = sin z / z,   i m1 = i (m0 - cos z) / z,
     m2 = m0 + 2 (cos z - m0) / z^2,
 
-so the average is alpha m0 + beta m2 - s c m1 (real).  A test checks these
-moments against Gauss-Legendre on the same polynomial, and A6 checks
-Gauss-Legendre against f1.  Every Gauss-Legendre rule, polar or radial,
-comes from _legendre_rule (Newton on the three-term recurrence, numpy
-alone), which builds each size once per process.
+so the average is alpha m0 + beta m2 - s c m1 (real).  That is linear in
+sin z and cos z, S sin z + C cos z with S and C rational in z, so f2
+takes S and C at every radial node and the phases only where it cannot
+reuse them (below).  A test checks these moments against Gauss-Legendre
+on the same polynomial, and A6 checks Gauss-Legendre against f1.  Every
+Gauss-Legendre rule, polar or radial, comes from _legendre_rule (Newton
+on the three-term recurrence, numpy alone), which builds each size once
+per process.
 
 Normalization is fixed analytically by the calibration limit: an inactive
 medium with parallel dipoles must give n_bar/2 as x -> 0, which pins the
@@ -51,14 +54,22 @@ q), and beyond the window the tail is accumulated in half-period segments
 (pi/y in k/k0) whose n partial sums are contracted to their binomial mean,
 weights C(n-1, k) / 2^(n-1) (Euler acceleration of an alternating series).
 The pole window is [0, 2] (k/k0), integrated on panels of 16
-Gauss-Legendre points; the tail starts at 2 and has at least 48 segments,
-and always reaches at least k/k0 = 50 before acceleration.  Each segment
-is split into ceil(pi/(2y)) equal panels of 10 Gauss-Legendre points, so
-no panel is wider than 2 in k/k0 however long the half period, and its
-panels are summed before the Euler mean.  The split makes the tail grid
-grow as 1/y below y = pi/2, so f2 takes n x from 0.01 up, where its two
-passes stay within about 25 MB.  Each distinct index has its own
-grids, so the value of one channel never depends on the other's index.
+Gauss-Legendre points, folded onto its upper half [1, 2] against the
+mirror nodes 2 - k, which are exact in floating point; those nodes and
+weights depend on the panel count alone and are kept per count.
+The tail starts at 2 and has at least 48 segments, and always reaches at
+least k/k0 = 50 before acceleration.  Each segment is split into
+ceil(pi/(2y)) equal panels of 10 Gauss-Legendre points, so no panel is
+wider than 2 in k/k0 however long the half period, and its panels are
+summed before the Euler mean.  Every segment is segment 0 shifted by a
+multiple j of the half period, where sin(y k) and cos(y k) are segment
+0's times (-1)^j: the tail takes its phases once per pass, on segment
+0's nodes with the rule weights folded in, and each segment's sum is two
+dot products, so no sine is taken of a large argument y k.  The split
+makes the tail grid grow as 1/y below y = pi/2, so f2 takes n x from 0.01
+up, where its two passes stay within about 15 MB.  Each distinct index
+has its own grids, so the value of one channel never depends on the
+other's index.
 The projected dyadic is linear in s, so the channels of one index (both,
 in an inactive medium) are one pass with the summed weights, and their
 helicity terms cancel exactly.  These grids are fixed: the refinement
@@ -127,9 +138,12 @@ def _legendre_rule(n):
     return rule
 
 
-# the rules of the pole panels and of the tail panels
-_POLE_X, _POLE_W = _legendre_rule(16)
-_TAIL_X, _TAIL_W = _legendre_rule(10)
+# the Gauss-Legendre points of a pole panel and of a tail panel
+_POLE_POINTS = 16
+_TAIL_POINTS = 10
+# the radial rules kept per panel count: a process that scans many n x
+# keeps the most recent only
+_RULES_KEPT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +151,13 @@ _TAIL_X, _TAIL_W = _legendre_rule(10)
 
 def _ring(g):
     """The invariants d2.d1, b = (d2.r_hat)(r_hat.d1) and c = r_hat.(d2 x d1)
-    of the projected dyadic's ring average, once per oracle call."""
-    return (g.d2_hat @ g.d1_hat, (g.d2_hat @ g.r_hat) * (g.r_hat @ g.d1_hat),
-            g.r_hat @ np.cross(g.d2_hat, g.d1_hat))
+    of the projected dyadic's ring average, once per oracle call; c by
+    components, as np.cross costs ~25 us on one 3-vector."""
+    d1, d2, r = g.d1_hat, g.d2_hat, g.r_hat
+    c = (r[0] * (d2[1] * d1[2] - d2[2] * d1[1])
+         + r[1] * (d2[2] * d1[0] - d2[0] * d1[2])
+         + r[2] * (d2[0] * d1[1] - d2[1] * d1[0]))
+    return d2 @ d1, (d2 @ r) * (r @ d1), c
 
 
 def _by_index(m):
@@ -175,22 +193,24 @@ def _reduced_angular(inv, hel, n_polar):
 
 def _ring_average(z, inv, hel):
     """The (dOmega/4pi) average of the projected dyadic of _reduced_angular,
-    summed over hel, times exp(i z mu), at every z > 0 of the array z:
-    alpha m0 + beta m2 - gamma m1 with the exact moments of the module
-    docstring, alpha = len(hel) (d2.d1 + b)/2, beta = len(hel) (d2.d1 -
-    3b)/2 and gamma = sum(hel) c.  m1 and m2 cancel to O(z) and O(1) from
-    terms of size 1/z^2, so their error is about eps (1 + 1/z^2) times
-    |alpha| + |beta| + |gamma|; in f2's q(k) the factor k^4 holds that to
-    eps k^2 / y^2, below the rounding of the sums at every y f2 takes.
+    summed over hel, times exp(i z mu), at every z > 0 of the array z, as
+    the pair (S, C) of arrays with the average S sin z + C cos z.  The
+    exact moments of the module docstring give alpha m0 + beta m2 - gamma
+    m1, alpha = len(hel) (d2.d1 + b)/2, beta = len(hel) (d2.d1 - 3b)/2 and
+    gamma = sum(hel) c, which is linear in sin z and cos z: with u = 1/z
+    and t = u (gamma + 2 beta u), S = u (alpha + beta - t) and C = t.  S
+    sin z and C cos z cancel to O(1) from terms of size 1/z^2, so the
+    average errs by about eps (1 + 1/z^2) times |alpha| + |beta| +
+    |gamma|; in f2's q(k) the factor k^4 holds that to eps k^2 / y^2,
+    below the rounding of the sums at every y f2 takes.
     """
     d21, b, c = inv
+    alpha = len(hel) * 0.5 * (d21 + b)
+    beta = len(hel) * 0.5 * (d21 - 3.0 * b)
+    gamma = sum(hel) * c
     u = 1.0 / z
-    cos = np.cos(z)
-    m0 = np.sin(z) * u
-    m1 = u * (m0 - cos)
-    m2 = m0 + 2.0 * u * u * (cos - m0)
-    return (len(hel) * (0.5 * (d21 + b) * m0 + 0.5 * (d21 - 3.0 * b) * m2)
-            - sum(hel) * c * m1)
+    t = u * (gamma + 2.0 * beta * u)
+    return u * (alpha + beta - t), t
 
 
 def _checked(x, m, refine_tol):
@@ -250,12 +270,18 @@ def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
 # ---------------------------------------------------------------------------
 # off-shell (principal value) oracle
 
-def _panels(a: float, b: float, n_panels: int, nodes):
-    """The common half-width of n equal panels on [a, b] and the radial
-    nodes (n_panels x len(nodes)) of the rule nodes on each."""
-    half = 0.5 * (b - a) / n_panels
-    mids = a + half * (2.0 * np.arange(n_panels) + 1.0)
-    return half, mids[:, None] + half * nodes
+@functools.lru_cache(maxsize=_RULES_KEPT)
+def _unit_panels(n_panels, n_points):
+    """n_panels equal panels of the n_points Gauss-Legendre rule on [0, 1]:
+    the nodes, ascending, and their weights, flattened.  Each pair is built
+    once while cached and shared read-only."""
+    x, w = _legendre_rule(n_points)
+    half = 0.5 / n_panels
+    rule = ((half * (2.0 * np.arange(n_panels)[:, None] + 1.0 + x)).ravel(),
+            np.tile(half * w, n_panels))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @functools.cache
@@ -274,6 +300,46 @@ def _euler_weights(n):
     return w
 
 
+@functools.lru_cache(maxsize=_RULES_KEPT)
+def _pole_grid(n_pan):
+    """The pole window folded onto its upper half [1, 2], on n_pan panels
+    of 16 points: the nodes (2 x 16 n_pan) of the upper half k and of
+    their mirrors 2 - k (exact in floating point for k in [1, 2]), 2k^4 /
+    (k + 1) at both rows, and the PV weights w / (k - 1) of the fold q(k) -
+    q(2 - k).  Each n_pan is built once while cached and shared
+    read-only."""
+    t, w = _unit_panels(n_pan, _POLE_POINTS)
+    k = 1.0 + _HALF_WINDOW * t
+    nodes = np.array([k, 2.0 - k])
+    grid = (nodes, 2.0 * nodes**4 / (nodes + 1.0),
+            _HALF_WINDOW * w / (k - 1.0))
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+def _tail_segments(y, inv, hel, n_seg, split):
+    """The sums of q(k) / (k - 1) over n_seg half-period tail segments from
+    k/k0 = 2, each split into split panels of 10 points, without the
+    channel weight 3n/8.  Segment j is segment 0 shifted by j pi / y, where
+    sin(y k) and cos(y k) are segment 0's times (-1)^j: the phases are
+    taken once, on segment 0's nodes with the rule weights folded in (ws,
+    wc), and each segment's sum is GS @ ws + GC @ wc, GS and GC the
+    ring-average factors S and C times 2k^4 / ((k + 1)(k - 1))."""
+    seg_len = math.pi / y
+    t, w = _unit_panels(split, _TAIL_POINTS)
+    k0 = _TAIL_START + seg_len * t
+    w = seg_len * w
+    ws, wc = w * np.sin(y * k0), w * np.cos(y * k0)
+    k = k0 + seg_len * np.arange(n_seg)[:, None]
+    s, c = _ring_average(y * k, inv, hel)
+    k2 = k * k
+    g = 2.0 * k2 * k2 / (k2 - 1.0)
+    sums = (g * s) @ ws + (g * c) @ wc
+    sums[1::2] *= -1.0
+    return sums
+
+
 def _f2_single(x, m, inv, refine=1):
     """One pass of the f2 quadrature, one distinct index at a time; refine
     = 2 doubles the pole panels, the tail segments and the panels per tail
@@ -281,30 +347,23 @@ def _f2_single(x, m, inv, refine=1):
     total = 0.0
     for n, hel in _by_index(m).items():
         y = n * x
-        weight = 3.0 * n / 8.0
         seg_len = math.pi / y
         n_pan = refine * max(8, math.ceil(_TAIL_START * y / math.pi))
         n_seg = refine * max(_TAIL_SEGMENTS,
                              math.ceil((_K_MAX - _TAIL_START) / seg_len))
         split = refine * math.ceil(seg_len / 2.0)
 
-        # the half-width and nodes k of n equal panels on [a, b] and q(k) =
-        # h(k) 2k/(k+1) at them, h(k) = weight k^3 times the ring average
-        def q(a, b, n_panels, nodes):
-            half, k = _panels(a, b, n_panels, nodes)
-            return half, k, (weight * 2.0 * k**4 / (k + 1.0)
-                             * _ring_average(y * k, inv, hel))
-
-        # node (p, l) of the window's upper half mirrors (-1-p, -1-l) about 1
-        half, k, q_pole = q(1.0 - _HALF_WINDOW, 1.0 + _HALF_WINDOW,
-                            2 * n_pan, _POLE_X)
-        fold = q_pole[n_pan:] - q_pole[n_pan - 1::-1, ::-1]
-        pv = float((half * _POLE_W * fold / (k[n_pan:] - 1.0)).sum())
-        half, k, q_tail = q(_TAIL_START, _TAIL_START + n_seg * seg_len,
-                            n_seg * split, _TAIL_X)
-        segments = (half * _TAIL_W * q_tail / (k - 1.0)).reshape(n_seg, -1)
-        partial = np.cumsum(segments.sum(1))
-        total += (pv + float(_euler_weights(n_seg) @ partial)) / math.pi
+        # q(k) = h(k) 2k/(k+1), h(k) = (3n/8) k^3 times the ring average,
+        # less the factor 3n/8 until the end: the window's upper half
+        # against its mirror, then the tail
+        nodes, k4, w = _pole_grid(n_pan)
+        z = y * nodes
+        s, c = _ring_average(z, inv, hel)
+        q = k4 * (s * np.sin(z) + c * np.cos(z))
+        pv = float(w @ (q[0] - q[1]))
+        partial = np.cumsum(_tail_segments(y, inv, hel, n_seg, split))
+        tail = float(_euler_weights(n_seg) @ partial)
+        total += (3.0 * n / 8.0) * (pv + tail) / math.pi
     return total
 
 

@@ -1,6 +1,6 @@
 """tools/bench_pairs.py: the gain and worse verdicts of its summary, on
-synthetic runs, the verdict lines it prints, the digest of the code each
-side ran, and what it writes when a run fails."""
+synthetic runs, the order of its runs, the verdict lines it prints, the
+digest of the code each side ran, and what it writes when a run fails."""
 
 import hashlib
 import importlib.util
@@ -79,32 +79,72 @@ def test_thirty_percent_slower_is_worse():
     assert not any(e["worse"] for e in summary["metrics"].values())
 
 
-def test_failed_run_keeps_the_runs_collected_so_far(tmp_path, monkeypatch):
-    # the third run (pair 1, AFTER first) exits 3: the two runs of pair 0
-    # are written with the failed run's record, and main returns 1
-    calls = []
-
-    def run_once(checkout, workload, seed):
-        calls.append(checkout.name)
-        if len(calls) == 3:
-            stderr = "".join(f"line {i}\n" for i in range(30))
-            raise subprocess.CalledProcessError(3, ["run.py"], stderr=stderr)
-        return _run(100.0 + len(calls), 1.0)
-
+def _checkouts(tmp_path, monkeypatch, run_once):
+    """BEFORE and AFTER directories under tmp_path, AFTER with a
+    BENCHMARK.json of METRICS, the stub run_once in place and tmp_path as
+    the current directory."""
     for side in bench_pairs.SIDES:
         (tmp_path / side).mkdir()
     (tmp_path / "after" / "BENCHMARK.json").write_text(
         json.dumps({"run_seconds": 25, "end_to_end": METRICS}))
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.chdir(tmp_path)
+
+
+def test_pairs_interleave_workloads_and_alternate_sides(tmp_path,
+                                                        monkeypatch):
+    # pair k of every workload runs before pair k + 1 of any, in the order
+    # given, and within pair k BEFORE runs first when k is even
+    calls = []
+
+    def run_once(checkout, workload, seed):
+        calls.append((workload, checkout.name))
+        return _run(100.0, 1.0)
+
+    _checkouts(tmp_path, monkeypatch, run_once)
+    workloads = ["verify", "sweep", "dynamics"]
+    assert bench_pairs.main([str(tmp_path / "before"),
+                             str(tmp_path / "after"), "--workload",
+                             *workloads, "--seed", "1", "--pairs", "3",
+                             "--label", "stub"]) == 0
+    assert calls == [(workload, side)
+                     for order in (("before", "after"), ("after", "before"),
+                                   ("before", "after"))
+                     for workload in workloads for side in order]
+    result = json.loads((tmp_path / "BENCH_stub.json").read_text())
+    assert list(result["workloads"]) == workloads
+    for entry in result["workloads"].values():
+        assert {side: len(r) for side, r in entry["runs"].items()} == {
+            "before": 3, "after": 3}
+
+
+def test_failed_run_keeps_the_runs_collected_so_far(tmp_path, monkeypatch):
+    # the fifth run (pair 1 of sweep, AFTER first) exits 3: the runs of
+    # pair 0 of both workloads are written, none summarized, with the
+    # failed run's record, and main returns 1
+    calls = []
+
+    def run_once(checkout, workload, seed):
+        calls.append((workload, checkout.name))
+        if len(calls) == 5:
+            stderr = "".join(f"line {i}\n" for i in range(30))
+            raise subprocess.CalledProcessError(3, ["run.py"], stderr=stderr)
+        return _run(100.0 + len(calls), 1.0)
+
+    _checkouts(tmp_path, monkeypatch, run_once)
     code = bench_pairs.main([str(tmp_path / "before"), str(tmp_path / "after"),
                              "--workload", "sweep", "dynamics", "--seed", "1",
                              "--pairs", "4", "--label", "stub"])
     assert code == 1
-    assert calls == ["before", "after", "after"]
+    assert calls == [("sweep", "before"), ("sweep", "after"),
+                     ("dynamics", "before"), ("dynamics", "after"),
+                     ("sweep", "after")]
     result = json.loads((tmp_path / "BENCH_stub.json").read_text())
-    assert result["workloads"] == {"sweep": {"runs": {
-        "before": [_run(101.0, 1.0)], "after": [_run(102.0, 1.0)]}}}
+    assert result["workloads"] == {
+        "sweep": {"runs": {"before": [_run(101.0, 1.0)],
+                           "after": [_run(102.0, 1.0)]}},
+        "dynamics": {"runs": {"before": [_run(103.0, 1.0)],
+                              "after": [_run(104.0, 1.0)]}}}
     assert result["failed_run"] == {
         "side": "after", "workload": "sweep", "pair": 1, "returncode": 3,
         "stderr_tail": "\n".join(f"line {i}" for i in range(10, 30))}
@@ -112,19 +152,15 @@ def test_failed_run_keeps_the_runs_collected_so_far(tmp_path, monkeypatch):
 
 def test_each_workload_reports_its_verdicts_on_stderr(tmp_path, monkeypatch,
                                                        capsys):
-    # after each workload, one stderr line per end-to-end metric gives both
-    # medians, the change, the wins, gain and worse, and the JSON keeps its
-    # layout.  AFTER serves twice the items and starts in 1.4 times the time
+    # after the last pair, one stderr line per workload and end-to-end
+    # metric gives both medians, the change, the wins, gain and worse, and
+    # the JSON keeps its layout.  AFTER serves twice the items and starts in
+    # 1.4 times the time
     def run_once(checkout, workload, seed):
         fast = checkout.name == "after"
         return _run(200.0 if fast else 100.0, 1.4 if fast else 1.0)
 
-    for side in bench_pairs.SIDES:
-        (tmp_path / side).mkdir()
-    (tmp_path / "after" / "BENCHMARK.json").write_text(
-        json.dumps({"run_seconds": 25, "end_to_end": METRICS}))
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    monkeypatch.chdir(tmp_path)
+    _checkouts(tmp_path, monkeypatch, run_once)
     code = bench_pairs.main([str(tmp_path / "before"), str(tmp_path / "after"),
                              "--workload", "sweep", "verify", "--seed", "1",
                              "--pairs", "4", "--label", "stub"])

@@ -1,3 +1,4 @@
+import functools
 import math
 import subprocess
 import sys
@@ -18,7 +19,6 @@ from chidip import (
     normalize_geometry,
 )
 from chidip.specfun import aux_i1, aux_i2
-from scipy.special import roots_legendre
 
 from chidip import oracle
 from chidip.oracle import (
@@ -27,6 +27,8 @@ from chidip.oracle import (
     _reduced_angular,
     _ring,
     _ring_average,
+    _tail_segments,
+    _unit_panels,
     f1_oracle,
     f2_oracle,
 )
@@ -107,17 +109,52 @@ def test_mode_dyadic_is_frame_covariant():
         assert np.max(np.abs(rot - base)) < 1e-12
 
 
+@functools.cache
+def _mpmath_rule(n, count=32):
+    """Up to count nodes x >= 0 of the n-point Gauss-Legendre rule, spread
+    evenly from the middle to the end (all of them for n <= 64): their
+    indices into the full ascending rule, and the nodes and weights at 30
+    digits, rounded to float.  Each node is mpmath's findroot on
+    legendre(n, x), started from the float node of _legendre_rule, and its
+    weight is 2 (1 - x^2) / (n P_{n-1}(x))^2, which is 2 / ((1 - x^2)
+    P_n'(x)^2) at a root of P_n."""
+    start = _legendre_rule(n)[0]
+    index = np.unique(np.linspace(n // 2, n - 1, count).round().astype(int))
+    nodes, weights = [], []
+    with mpmath.workdps(30):
+        for i in index:
+            x0 = mpmath.mpf(float(start[i]))
+            x = mpmath.findroot(lambda t: mpmath.legendre(n, t),
+                                (x0, x0 * (1 + mpmath.mpf(2) ** -60)),
+                                verify=False)
+            nodes.append(float(x))
+            weights.append(float(2 * (1 - x * x)
+                                 / (n * mpmath.legendre(n - 1, x)) ** 2))
+    return index, np.array(nodes), np.array(weights)
+
+
+def _matches_mpmath(x, w):
+    """Whether the rule (x, w) lies within 2 eps of the 30-digit rule of
+    its size, node by node and weight by weight (measured <= 0.75 eps for
+    _legendre_rule, so a rule off by 4 eps fails)."""
+    index, nodes, weights = _mpmath_rule(x.size)
+    return (np.max(np.abs(x[index] - nodes)) <= 2 * EPS
+            and np.max(np.abs(w[index] - weights)) <= 2 * EPS)
+
+
 def test_legendre_rule():
-    # ascending, exactly symmetric nodes within a few ulp of scipy's,
-    # weights summing to 2, and sum w cos(a mu) within 1e-14 of 2 sin(a)/a
-    # for a <= n/3, where an exact n-point rule errs by less than rounding
-    # (scipy's rule misses by 5e-14 at n = 128, 3e-13 at n = 1152); each
-    # size is built once and shared read-only
+    # ascending, exactly symmetric nodes and weights within 2 eps of the
+    # 30-digit mpmath rule, weights summing to 2, and sum w cos(a mu) within
+    # 1e-14 of 2 sin(a)/a for a <= n/3, where an exact n-point rule errs by
+    # less than rounding; each size is built once and shared read-only.  A
+    # rule whose nodes or weights are off by 4 eps fails the reference
     for n in (10, 16, 64, 128, 576, 1152):
         x, w = _legendre_rule(n)
         assert np.all(np.diff(x) > 0.0)
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-        assert_allclose(x, roots_legendre(n)[0], rtol=0, atol=4 * EPS)
+        assert _matches_mpmath(x, w)
+        assert not _matches_mpmath(x + 4 * EPS, w)
+        assert not _matches_mpmath(x, w - 4 * EPS)
         assert abs(w.sum() - 2.0) <= 8 * EPS
         a = np.arange(1.0, n // 3 + 1)
         got = np.cos(np.multiply.outer(a, x)) @ w
@@ -149,9 +186,9 @@ def test_reduced_angular_matches_frame_built_ring_average():
             mu, wmu = _legendre_rule(n_polar)
             for s, _ in ACTIVE.channels:
                 half_mu, weighted = _reduced_angular(_ring(g), (s,), n_polar)
-                assert_allclose(half_mu,
-                                roots_legendre(n_polar)[0][n_polar // 2:],
-                                rtol=0, atol=4 * EPS)
+                # every node of a rule of <= 64 points has its reference
+                assert_allclose(half_mu, _mpmath_rule(n_polar)[1], rtol=0,
+                                atol=2 * EPS)
                 ring = np.array([[
                     g.d2_hat @ _mode_dyadic(
                         math.sqrt(1.0 - u * u)
@@ -195,28 +232,35 @@ def _ring_scale(inv, hel):
             + abs(sum(hel) * c))
 
 
+def _average(z, inv, hel):
+    """S sin z + C cos z from _ring_average's (S, C) at the one float z."""
+    s, c = _ring_average(np.array([z]), inv, hel)
+    assert s.shape == c.shape == (1,)
+    return float(s[0] * np.sin(z) + c[0] * np.cos(z))
+
+
 def test_ring_average_matches_gauss_legendre_of_the_same_polynomial():
-    # the exact moments against the folded Gauss-Legendre rule of
-    # _reduced_angular, sized as f1_oracle sizes it, at z from 1e-3 to 2e3:
-    # the moments cancel terms of size 1/z^2 (measured <= 0.95 eps / z^2 of
-    # the scale), the rule rounds its phases z mu (measured <= 9 eps)
+    # the exact moments, as S sin z + C cos z, against the folded
+    # Gauss-Legendre rule of _reduced_angular, sized as f1_oracle sizes it,
+    # at z from 1e-3 to 2e3: S and C cancel terms of size 1/z^2 (measured
+    # <= 1.2 eps / z^2 of the scale), the rule rounds its phases z mu
+    # (measured <= 7.2 eps)
     rng = np.random.default_rng(29)
     for z in np.geomspace(1e-3, 2e3, 60):
         inv, hel = _random_ring(rng)
         n_polar = 64 * math.ceil((0.55 * z + 40) / 64)
         mu, w = _reduced_angular(inv, hel, n_polar)
         want = (w * np.exp(1j * z * mu)).real.sum() / 2
-        got = _ring_average(np.array([z]), inv, hel)
-        assert got.shape == (1,)
-        assert abs(got[0] - want) <= EPS * (32 + 2 / z**2) * _ring_scale(inv,
-                                                                        hel)
+        got = _average(z, inv, hel)
+        assert abs(got - want) <= EPS * (32 + 2 / z**2) * _ring_scale(inv, hel)
 
 
 def test_ring_average_matches_mpmath_moments():
     # m0 = sin z / z, m1 = (m0 - cos z) / z and m2 = m0 + 2 (cos z - m0) / z^2
-    # at 30 digits, up to z = 5e4 (f2 at n x = 500 reaches z ~ 4.9e4), where
-    # Gauss-Legendre rules take minutes to build: measured error <= 0.95 eps
-    # / z^2 of the scale below z = 1 and <= 0.5 eps above it
+    # at 30 digits against S sin z + C cos z, up to z = 5e4 (f2 at n x = 500
+    # reaches z ~ 4.9e4), where Gauss-Legendre rules take minutes to build:
+    # measured error <= 1.4 eps / z^2 of the scale below z = 1 and <= 0.6 of
+    # the bound above it
     rng = np.random.default_rng(30)
     zs = np.geomspace(1e-3, 5e4, 120)
     invs = [_random_ring(rng) for _ in zs]
@@ -229,31 +273,38 @@ def test_ring_average_matches_mpmath_moments():
             m2 = m0 + 2 * (cos - m0) / v**2
             want = (len(hel) * ((d21 + b) * m0 + (d21 - 3 * b) * m2) / 2
                     - sum(hel) * c * m1)
-            got = _ring_average(np.array([z]), inv, hel)[0]
+            got = _average(z, inv, hel)
             assert abs(got - float(want)) <= EPS * (1 + 2 / z**2) \
                 * _ring_scale(inv, hel), z
 
 
 def test_f2_grids_split_the_tail_segments(monkeypatch):
     # the refined pass doubles the pole panels, the tail segments and the
-    # panels per segment, split = refine * ceil(pi / (2 y)), and each
-    # segment's panels are one partial sum of the Euler mean.  At x = 0.05,
-    # y = 0.05 (n = 1) has half periods of 62.8 in k/k0, so 48 segments of
-    # 32 panels; y = 0.15 (n = 3) 48 segments of 11.  At x = 20, y = 20
-    # takes 306 segments and y = 60 917, of one panel each.  The pole window
-    # has 2 max(8, ceil(2 y / pi)) panels: 16 at x = 0.05, 26 and 78 at 20
+    # panels per segment, split = refine * ceil(pi / (2 y)), and the Euler
+    # mean takes one partial sum per segment.  At x = 0.05, y = 0.05 (n = 1)
+    # has half periods of 62.8 in k/k0, so 48 segments of 32 panels; y =
+    # 0.15 (n = 3) 48 segments of 11.  At x = 20, y = 20 takes 306 segments
+    # and y = 60 917, of one panel each.  The pole window has 2 max(8,
+    # ceil(2 y / pi)) panels, half of them on its upper half, which the
+    # fold takes: 16 at x = 0.05, 26 and 78 at 20
     seen = []
 
-    def recording(a, b, n_panels, nodes):
-        seen.append(n_panels)
-        return panels(a, b, n_panels, nodes)
+    def pole(n_pan):
+        seen.append(2 * n_pan)
+        return pole_grid(n_pan)
+
+    def tail(y, inv, hel, n_seg, split):
+        seen.append((n_seg, split))
+        return tail_segments(y, inv, hel, n_seg, split)
 
     def euler(n):
         seen.append(("euler", n))
         return euler_weights(n)
 
-    panels, euler_weights = oracle._panels, oracle._euler_weights
-    monkeypatch.setattr(oracle, "_panels", recording)
+    pole_grid, tail_segments = oracle._pole_grid, oracle._tail_segments
+    euler_weights = oracle._euler_weights
+    monkeypatch.setattr(oracle, "_pole_grid", pole)
+    monkeypatch.setattr(oracle, "_tail_segments", tail)
     monkeypatch.setattr(oracle, "_euler_weights", euler)
     inv = _ring(ORTH)
     m = MediumChirality(1.0, 3.0)
@@ -264,8 +315,73 @@ def test_f2_grids_split_the_tail_segments(monkeypatch):
             (20.0, 2, (52, 612, 2, 156, 1834, 2))):
         seen.clear()
         oracle._f2_single(x, m, inv, refine)
-        assert seen == [pole1, seg1 * split1, ("euler", seg1),
-                        pole3, seg3 * split3, ("euler", seg3)], (x, refine)
+        assert seen == [pole1, (seg1, split1), ("euler", seg1),
+                        pole3, (seg3, split3), ("euler", seg3)], (x, refine)
+
+
+def test_unit_panels_are_the_rule_on_each_panel():
+    # n equal panels of [0, 1], each carrying the Gauss-Legendre rule of
+    # its size scaled to half-width 1/(2n), ascending; the weights sum to 1
+    for n_panels, n_points in ((1, 10), (3, 10), (8, 16), (13, 16)):
+        rule = t, w = _unit_panels(n_panels, n_points)
+        x, wx = _legendre_rule(n_points)
+        half = 0.5 / n_panels
+        mids = half * (2.0 * np.arange(n_panels) + 1.0)
+        assert_allclose(t, (mids[:, None] + half * x).ravel(), rtol=0,
+                        atol=EPS)
+        assert np.array_equal(w, np.tile(half * wx, n_panels))
+        assert np.all(np.diff(t) > 0.0) and 0.0 < t[0] and t[-1] < 1.0
+        assert abs(w.sum() - 1.0) <= 8 * EPS
+        assert _unit_panels(n_panels, n_points) is rule
+        assert not (t.flags.writeable or w.flags.writeable)
+
+
+def test_pole_grid_is_the_exact_fold_of_the_window():
+    # the upper half of the window [0, 2] and its mirror 2 - k, exact in
+    # floating point, with 2k^4/(k+1) at both and the PV weights w / (k -
+    # 1); kept per panel count and shared read-only
+    for n_pan in (8, 13, 78):
+        nodes, k4, w = oracle._pole_grid(n_pan)
+        t, wt = _unit_panels(n_pan, 16)
+        assert nodes.shape == k4.shape == (2, t.size) and w.shape == t.shape
+        assert np.array_equal(nodes[0], 1.0 + t)
+        assert np.array_equal(nodes[1], 2.0 - nodes[0])
+        assert np.array_equal(nodes[0] - 1.0, 1.0 - nodes[1])
+        assert_allclose(k4, 2.0 * nodes**4 / (nodes + 1.0), rtol=EPS)
+        assert_allclose(w, wt / (nodes[0] - 1.0), rtol=EPS)
+        assert oracle._pole_grid(n_pan) is oracle._pole_grid(n_pan)
+        assert not any(a.flags.writeable for a in (nodes, k4, w))
+
+
+def test_tail_segments_match_a_direct_sum_of_every_node():
+    # each segment's two dot products against the plain sum of q(k)/(k - 1)
+    # over its nodes k = k_0 + j pi / y, with np.sin and np.cos taken at
+    # every node and the moments m0, m1 and m2 of the module docstring.
+    # The direct phases y k round by eps y k, which the segment shift of
+    # the dot products avoids, so the bound is 2 eps of the segment scale
+    # (the sum of its |terms|) plus eps y k per term (measured <= 0.64 of
+    # it, on grids of f2 from y = 0.05 to 500, both passes)
+    rng = np.random.default_rng(31)
+    for y, n_seg, split in ((0.05, 48, 32), (0.15, 96, 22), (1.0, 49, 1),
+                            (20.0, 306, 1), (60.0, 1834, 2),
+                            (500.0, 7640, 1)):
+        inv, hel = _random_ring(rng)
+        seg_len = math.pi / y
+        t, w = _unit_panels(split, 10)
+        k = 2.0 + seg_len * (t + np.arange(n_seg)[:, None])
+        z = y * k
+        m0 = np.sin(z) / z
+        m1 = (m0 - np.cos(z)) / z
+        m2 = m0 + 2.0 * (np.cos(z) - m0) / z**2
+        d21, b, c = inv
+        average = (len(hel) * ((d21 + b) * m0 + (d21 - 3.0 * b) * m2) / 2
+                   - sum(hel) * c * m1)
+        terms = (seg_len * w * 2.0 * k**4 / ((k + 1.0) * (k - 1.0))
+                 * average)
+        got = _tail_segments(y, inv, hel, n_seg, split)
+        assert got.shape == (n_seg,)
+        bound = EPS * (2.0 * np.abs(terms).sum(1) + (np.abs(terms) * z).sum(1))
+        assert np.all(np.abs(got - terms.sum(1)) <= bound), y
 
 
 def test_euler_weights_are_iterated_pairwise_averaging():

@@ -5,9 +5,11 @@
 
 BEFORE and AFTER are two checkout directories.  Each side runs its own
 perfbench/run.py, unchanged and at its default run length, which measures
-the src/ next to it.  Pair k runs BEFORE first when k is even and AFTER
-first when k is odd, so that neither side always meets a warmer or cooler
-machine.
+the src/ next to it.  Pair k of every workload runs before pair k + 1 of
+any, so that load lasting several pairs falls on all workloads alike
+instead of on one.  Within pair k, BEFORE runs first when k is even and
+AFTER first when k is odd, so that neither side always meets a warmer or
+cooler machine.
 
 BENCH_<label>.json, written to the current directory, holds per workload
 every run's result line, whether each side's runs were all ``correct``
@@ -24,13 +26,13 @@ src/chidip/*.py in sorted path order, each file's path relative to the
 checkout and then its bytes, each prefixed by its length.  It reads the
 files alone, so a checkout need not be a git repository.
 
-After each workload, one stderr line per end-to-end metric gives both
-medians, the change, the wins, ``gain`` and ``worse``.
+After the last pair, one stderr line per workload and end-to-end metric
+gives both medians, the change, the wins, ``gain`` and ``worse``.
 
 A run that exits nonzero ends the measurement: BENCH_<label>.json then
-holds the runs collected so far (the unfinished workload without a
-summary) and ``failed_run``, that run's side, workload, pair, exit code
-and the tail of its stderr, and the script exits 1.
+holds every workload's runs collected so far, none summarized, and
+``failed_run``, that run's side, workload, pair, exit code and the tail
+of its stderr, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -141,32 +143,36 @@ def main(argv=None) -> int:
         "sources": {side: source_digest(checkouts[side]) for side in SIDES},
         "workloads": {},
     }
-    for workload in args.workload:
-        runs = {side: [] for side in SIDES}
-        try:
-            for k in range(args.pairs):
+    runs = {workload: {side: [] for side in SIDES}
+            for workload in args.workload}
+    try:
+        for k in range(args.pairs):
+            for workload in args.workload:
                 for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                     line = run_once(checkouts[side], workload, args.seed)
-                    runs[side].append(line)
+                    runs[workload][side].append(line)
                     print(f"{workload} pair {k} {side}: items_per_s "
                           f"{line['metrics']['items_per_s']['value']:.6g}, "
                           f"correct {line['correct']}, "
                           f"failed {line['failed']}", file=sys.stderr)
-        except subprocess.CalledProcessError as err:
-            result["workloads"][workload] = {"runs": runs}
-            result["failed_run"] = {
-                "side": side, "workload": workload, "pair": k,
-                "returncode": err.returncode,
-                "stderr_tail": "\n".join(
-                    (err.stderr or "").splitlines()[-STDERR_LINES:]),
-            }
-            print(f"{workload} pair {k} {side}: exit {err.returncode}",
-                  file=sys.stderr)
-            break
-        summary = summarize(runs, spec["end_to_end"])
-        result["workloads"][workload] = {"summary": summary, "runs": runs}
-        for line in report(workload, summary, args.pairs):
-            print(line, file=sys.stderr)
+    except subprocess.CalledProcessError as err:
+        result["workloads"] = {name: {"runs": sides}
+                               for name, sides in runs.items()}
+        result["failed_run"] = {
+            "side": side, "workload": workload, "pair": k,
+            "returncode": err.returncode,
+            "stderr_tail": "\n".join(
+                (err.stderr or "").splitlines()[-STDERR_LINES:]),
+        }
+        print(f"{workload} pair {k} {side}: exit {err.returncode}",
+              file=sys.stderr)
+    else:
+        for workload, sides in runs.items():
+            summary = summarize(sides, spec["end_to_end"])
+            result["workloads"][workload] = {"summary": summary,
+                                             "runs": sides}
+            for line in report(workload, summary, args.pairs):
+                print(line, file=sys.stderr)
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(path)
