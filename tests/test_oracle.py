@@ -109,52 +109,86 @@ def test_mode_dyadic_is_frame_covariant():
         assert np.max(np.abs(rot - base)) < 1e-12
 
 
+# the fixed-point scale of the reference Gauss-Legendre rules: 120 bits,
+# 36 digits, of which rounding over n <= 1152 recurrence steps leaves > 30
+_FIX = 120
+_ONE = 1 << _FIX
+
+
 @functools.cache
-def _mpmath_rule(n, count=32):
-    """Up to count nodes x >= 0 of the n-point Gauss-Legendre rule, spread
-    evenly from the middle to the end (all of them for n <= 64): their
-    indices into the full ascending rule, and the nodes and weights at 30
-    digits, rounded to float.  Each node is mpmath's findroot on
-    legendre(n, x), started from the float node of _legendre_rule, and its
-    weight is 2 (1 - x^2) / (n P_{n-1}(x))^2, which is 2 / ((1 - x^2)
-    P_n'(x)^2) at a root of P_n."""
-    start = _legendre_rule(n)[0]
-    index = np.unique(np.linspace(n // 2, n - 1, count).round().astype(int))
+def _reference_rule(n):
+    """The nodes x >= 0 of the n-point Gauss-Legendre rule, ascending, and
+    their weights, at 30 digits or better, rounded to float.  Each node is
+    Newton's method on P_n, started from the float node of _legendre_rule,
+    in fixed-point integers at 2^-120: k P_k = (2k - 1) x P_{k-1} - (k - 1)
+    P_{k-2} gives P_n and P_{n-1}, P_n' = n (x P_n - P_{n-1}) / (x^2 - 1),
+    and the weight is 2 (1 - x^2) / (n P_{n-1})^2, which is 2 / ((1 - x^2)
+    P_n'^2) at a root of P_n.  A test checks it against mpmath's findroot
+    on legendre(n, x)."""
     nodes, weights = [], []
-    with mpmath.workdps(30):
-        for i in index:
-            x0 = mpmath.mpf(float(start[i]))
-            x = mpmath.findroot(lambda t: mpmath.legendre(n, t),
-                                (x0, x0 * (1 + mpmath.mpf(2) ** -60)),
-                                verify=False)
-            nodes.append(float(x))
-            weights.append(float(2 * (1 - x * x)
-                                 / (n * mpmath.legendre(n - 1, x)) ** 2))
-    return index, np.array(nodes), np.array(weights)
+    for start in _legendre_rule(n)[0][n // 2:]:
+        x = int(start * _ONE)            # exact: a power-of-two scaling
+        for _ in range(8):
+            p, q = x, _ONE
+            for k in range(2, n + 1):
+                p, q = ((2 * k - 1) * (x * p >> _FIX) - (k - 1) * q) // k, p
+            step = p * ((x * x >> _FIX) - _ONE) // (n * ((x * p >> _FIX) - q))
+            x -= step
+            if abs(step) < 1 << 16:     # 2^-104: below 30 digits
+                break
+        else:
+            raise AssertionError(f"no Newton convergence at n = {n}")
+        nodes.append(x / _ONE)           # int / int rounds correctly
+        weights.append(2 * (_ONE - (x * x >> _FIX)) * _ONE / (n * q) ** 2)
+    return np.array(nodes), np.array(weights)
 
 
-def _matches_mpmath(x, w):
-    """Whether the rule (x, w) lies within 2 eps of the 30-digit rule of
-    its size, node by node and weight by weight (measured <= 0.75 eps for
-    _legendre_rule, so a rule off by 4 eps fails)."""
-    index, nodes, weights = _mpmath_rule(x.size)
-    return (np.max(np.abs(x[index] - nodes)) <= 2 * EPS
-            and np.max(np.abs(w[index] - weights)) <= 2 * EPS)
+def _matches_reference(x, w):
+    """Whether the rule (x, w) lies within 2 eps of the reference rule of
+    its size at every node x >= 0, node by node and weight by weight
+    (measured <= 0.75 eps for _legendre_rule, so a rule off by 4 eps
+    fails); the nodes x < 0 mirror them exactly, which
+    test_legendre_rule asserts on its own."""
+    nodes, weights = _reference_rule(x.size)
+    half = x.size // 2
+    return (np.max(np.abs(x[half:] - nodes)) <= 2 * EPS
+            and np.max(np.abs(w[half:] - weights)) <= 2 * EPS)
+
+
+def test_reference_rule_matches_mpmath_findroot():
+    # the fixed-point reference against mpmath's findroot on legendre(n, x)
+    # at 30 digits, started from the float node, with the weight 2 (1 -
+    # x^2) / (n P_{n-1}(x))^2: the middle node x >= 0 and the last, of the
+    # smallest and the largest rule of test_legendre_rule; both round to
+    # the same floats
+    for n in (10, 1152):
+        nodes, weights = _reference_rule(n)
+        start = _legendre_rule(n)[0]
+        with mpmath.workdps(30):
+            for i in (n // 2, n - 1):
+                x0 = mpmath.mpf(float(start[i]))
+                x = mpmath.findroot(lambda t: mpmath.legendre(n, t),
+                                    (x0, x0 * (1 + mpmath.mpf(2) ** -60)),
+                                    verify=False)
+                w = 2 * (1 - x * x) / (n * mpmath.legendre(n - 1, x)) ** 2
+                assert float(x) == nodes[i - n // 2], (n, i)
+                assert float(w) == weights[i - n // 2], (n, i)
 
 
 def test_legendre_rule():
     # ascending, exactly symmetric nodes and weights within 2 eps of the
-    # 30-digit mpmath rule, weights summing to 2, and sum w cos(a mu) within
-    # 1e-14 of 2 sin(a)/a for a <= n/3, where an exact n-point rule errs by
-    # less than rounding; each size is built once and shared read-only.  A
-    # rule whose nodes or weights are off by 4 eps fails the reference
+    # 30-digit reference rule at every node, weights summing to 2, and sum
+    # w cos(a mu) within 1e-14 of 2 sin(a)/a for a <= n/3, where an exact
+    # n-point rule errs by less than rounding; each size is built once and
+    # shared read-only.  A rule whose nodes or weights are off by 4 eps
+    # fails the reference
     for n in (10, 16, 64, 128, 576, 1152):
         x, w = _legendre_rule(n)
         assert np.all(np.diff(x) > 0.0)
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-        assert _matches_mpmath(x, w)
-        assert not _matches_mpmath(x + 4 * EPS, w)
-        assert not _matches_mpmath(x, w - 4 * EPS)
+        assert _matches_reference(x, w)
+        assert not _matches_reference(x + 4 * EPS, w)
+        assert not _matches_reference(x, w - 4 * EPS)
         assert abs(w.sum() - 2.0) <= 8 * EPS
         a = np.arange(1.0, n // 3 + 1)
         got = np.cos(np.multiply.outer(a, x)) @ w
@@ -186,9 +220,8 @@ def test_reduced_angular_matches_frame_built_ring_average():
             mu, wmu = _legendre_rule(n_polar)
             for s, _ in ACTIVE.channels:
                 half_mu, weighted = _reduced_angular(_ring(g), (s,), n_polar)
-                # every node of a rule of <= 64 points has its reference
-                assert_allclose(half_mu, _mpmath_rule(n_polar)[1], rtol=0,
-                                atol=2 * EPS)
+                assert_allclose(half_mu, _reference_rule(n_polar)[0],
+                                rtol=0, atol=2 * EPS)
                 ring = np.array([[
                     g.d2_hat @ _mode_dyadic(
                         math.sqrt(1.0 - u * u)
@@ -353,14 +386,15 @@ def test_pole_grid_is_the_exact_fold_of_the_window():
         assert not any(a.flags.writeable for a in (nodes, k4, w))
 
 
-def test_tail_segments_match_a_direct_sum_of_every_node():
-    # each segment's two dot products against the plain sum of q(k)/(k - 1)
-    # over its nodes k = k_0 + j pi / y, with np.sin and np.cos taken at
-    # every node and the moments m0, m1 and m2 of the module docstring.
-    # The direct phases y k round by eps y k, which the segment shift of
-    # the dot products avoids, so the bound is 2 eps of the segment scale
-    # (the sum of its |terms|) plus eps y k per term (measured <= 0.64 of
-    # it, on grids of f2 from y = 0.05 to 500, both passes)
+def test_tail_segments_match_a_direct_sum_at_30_digit_phases():
+    # each segment's two dot products against the plain sum over its nodes
+    # k of w 2k^4 / ((k + 1)(k - 1)) (S sin z + C cos z), z = z_0 + j pi,
+    # with z_0 = y k_0 at segment 0's node and sin z and cos z taken at 30
+    # digits, so no sign of the half-period shift is assumed; S and C are
+    # _ring_average's at y k, which the moment tests above check.  Segments
+    # 0, 1, the last and five at random of grids of f2 from y = 0.05 to
+    # 500, both passes; the bound is 2 eps of the segment scale, the sum of
+    # w 2k^4 / ((k + 1)(k - 1)) (|S| + |C|) over its nodes (measured <= 1.0)
     rng = np.random.default_rng(31)
     for y, n_seg, split in ((0.05, 48, 32), (0.15, 96, 22), (1.0, 49, 1),
                             (20.0, 306, 1), (60.0, 1834, 2),
@@ -368,20 +402,25 @@ def test_tail_segments_match_a_direct_sum_of_every_node():
         inv, hel = _random_ring(rng)
         seg_len = math.pi / y
         t, w = _unit_panels(split, 10)
-        k = 2.0 + seg_len * (t + np.arange(n_seg)[:, None])
-        z = y * k
-        m0 = np.sin(z) / z
-        m1 = (m0 - np.cos(z)) / z
-        m2 = m0 + 2.0 * (np.cos(z) - m0) / z**2
-        d21, b, c = inv
-        average = (len(hel) * ((d21 + b) * m0 + (d21 - 3.0 * b) * m2) / 2
-                   - sum(hel) * c * m1)
-        terms = (seg_len * w * 2.0 * k**4 / ((k + 1.0) * (k - 1.0))
-                 * average)
+        k0 = 2.0 + seg_len * t
+        z0, w = y * k0, seg_len * w
         got = _tail_segments(y, inv, hel, n_seg, split)
         assert got.shape == (n_seg,)
-        bound = EPS * (2.0 * np.abs(terms).sum(1) + (np.abs(terms) * z).sum(1))
-        assert np.all(np.abs(got - terms.sum(1)) <= bound), y
+        segs = sorted({0, 1, n_seg - 1, *rng.integers(n_seg, size=5)})
+        k = k0 + seg_len * np.array(segs)[:, None]
+        s, c = _ring_average(y * k, inv, hel)
+        with mpmath.workdps(30):
+            for j, *row in zip(segs, k, s, c):
+                want = scale = 0
+                for z, wi, ki, si, ci in zip(z0, w, *row):
+                    z = mpmath.mpf(float(z)) + int(j) * mpmath.pi
+                    ki = mpmath.mpf(float(ki))
+                    g = float(wi) * 2 * ki**4 / ((ki + 1) * (ki - 1))
+                    want += g * (float(si) * mpmath.sin(z)
+                                 + float(ci) * mpmath.cos(z))
+                    scale += abs(g) * (abs(float(si)) + abs(float(ci)))
+                assert abs(got[j] - float(want)) <= 2 * EPS * float(scale), \
+                    (y, j)
 
 
 def test_euler_weights_are_iterated_pairwise_averaging():
