@@ -60,24 +60,25 @@ def to_output(result):
 
 
 def horner(table, z):
-    """The polynomials of table (highest power first, one row per power) at
-    z; z is shaped by the caller to broadcast against the rows."""
-    acc = table[0]
-    for row in table[1:]:
-        acc = acc * z + row
+    """The polynomials of table (highest power first, one row per power,
+    each shaped (columns, 1)) at a 1-d z: one row per column, in place."""
+    acc = table[0] * z + table[1]
+    for row in table[2:]:
+        acc *= z
+        acc += row
     return acc
 
 
-def piecewise(below, low, high, v, *args):
-    """The rows of low(v, *args) where the mask below holds, of
-    high(v, *args) elsewhere: each form runs on its own elements alone, on
-    v itself when they are all of v; a form returns rows shaped like v."""
+def piecewise(below, low, high, v):
+    """The rows of low(v) where the mask below holds, of high(v) elsewhere:
+    each form runs on its own elements alone, on v itself when they are all
+    of v; a form returns rows shaped like v."""
     if not below.any():
-        return high(v, *args)
+        return high(v)
     if below.all():
-        return low(v, *args)
+        return low(v)
     above = ~below
-    lo, hi = low(v[below], *args), high(v[above], *args)
+    lo, hi = low(v[below]), high(v[above])
     out = np.empty((len(lo),) + v.shape)
     for row, a, b in zip(out, lo, hi):
         row[below], row[above] = a, b

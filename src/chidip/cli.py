@@ -20,7 +20,8 @@ The medium defaults to vacuum; it can be given either as the explicit pair
 half-difference convention; see MediumChirality.from_mean_and_rotation).
 
 Flags take their full names, as --flag VALUE (also -1e-3, but never a token
-starting with --) or --flag=VALUE.
+starting with --) or --flag=VALUE; `chidip COMMAND --help` (or -h) lists
+the flags of one subcommand.
 A flat key=value config file (--config) supplies defaults for any flag
 (keys are flag names with '-' replaced by '_'); explicit flags win.
 Output is byte-identical across repeated runs with identical inputs.
@@ -367,6 +368,11 @@ def main(argv=None) -> int:
         print(f"chidip: unknown command {command!r} "
               f"(expected one of: {', '.join(_COMMANDS)})", file=sys.stderr)
         return 2
+    if "-h" in tokens or "--help" in tokens:
+        flags = [f"  {f} VALUE" for f, on in _FLAGS.items() if command in on]
+        print(f"usage: chidip {command} [FLAG VALUE | FLAG=VALUE]...",
+              "flags:", *flags, "  --config PATH", sep="\n", file=sys.stderr)
+        return 0
     try:
         return _COMMANDS[command](tokens, sys.stdout)
     except UsageError as exc:

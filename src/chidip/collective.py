@@ -29,9 +29,10 @@ delta_plus - delta_minus = 2 F2).
 F2's brackets are F1's a quarter period on: F1's (b1, b2, b3) are
 (u (s + t), u (s + 3t), t) with t = u (c - u s), u = 1/y, (s, c) =
 (sin y, cos y), and (s, c) = (cos y, -sin y) gives F2's (d1, d2, -d3).
-Below Y_SERIES these lose ~6 digits to cancellation, so each element there
-takes Taylor/Laurent series (through order y^6) instead, by the switch
-that picks I1/I2's branch; the two forms agree to ~1e-13 at the switch.
+F2's brackets cancel nothing, so they take the trig form at every y.
+F1's cancel terms of size 1/y^3 down to O(1) or O(y^2), so each element
+below Y_SERIES = 2 takes their 12-term Taylor series instead; the two forms
+agree to ~2e-16 there.  I1/I2 switch separately, at specfun.U_SERIES.
 
 f1, f2, a_t and collective_spectrum take a float (giving floats) or an
 array of x of any shape, with both helicity channels on a trailing axis of
@@ -52,8 +53,8 @@ from .errors import DomainError, InvalidSeparation
 from .geometry import GeometryInvariants
 from .specfun import _aux
 
-# bracket evaluation switches from trig to series below this y = n*x
-Y_SERIES = 0.05
+# f1's brackets switch from trig to series below this y = n*x
+Y_SERIES = 2.0
 
 # below this y = n*x (times cbrt(n) for n > 1) the 1/y^3 terms of f2 leave
 # the float range
@@ -142,27 +143,21 @@ class CollectiveSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# bracket functions with small-argument series
+# bracket functions; f1's with a small-argument series
 
-# Below Y_SERIES the brackets are power series in y^2 (times a power of y):
-#   b1 = 2/3 - 2 y^2/15 + y^4/140 - y^6/5670
-#   b2 = -y^2/15 + y^4/210 - y^6/7560
-#   b3 = y (-1/3 + y^2/30 - y^4/840 + y^6/45360)
-#   d1 = y^-3 (-1 + y^2/2 - 3 y^4/8 + 5 y^6/144 - 7 y^8/5760)
-#   d2 = y^-3 (-3 - y^2/2 - y^4/8 + y^6/48 - y^8/1152)
-#   d3 = y^-2 (1 + y^2/2 - y^4/8 + y^6/144 - y^8/5760)
-# Each table holds the coefficients of the three series, one column per
-# bracket, highest power first, so one Horner pass evaluates all three;
-# f2's third column is that of -d3, the sign the trig forms give it.
-_F1_SERIES = np.array([[-1 / 5670, -1 / 7560, 1 / 45360],
-                       [1 / 140, 1 / 210, -1 / 840],
-                       [-2 / 15, -1 / 15, 1 / 30],
-                       [2 / 3, 0.0, -1 / 3]])
-_F2_SERIES = np.array([[-7 / 5760, -1 / 1152, 1 / 5760],
-                       [5 / 144, 1 / 48, -1 / 144],
-                       [-3 / 8, -1 / 8, 1 / 8],
-                       [1 / 2, -1 / 2, -1 / 2],
-                       [-1.0, -3.0, -1.0]])
+# Below Y_SERIES f1's brackets j0 - j1/y, j0 - 3 j1/y and -j1 are series
+# in y^2 (b3 times y); with j = 2m + 3, m < 12, the coefficients of y^(2m)
+# are the exact int / int ratios
+#   b1: (-1)^m ((j-1) j - j + 1) / j!       2/3, -2/15, 1/140, ...
+#   b2: (-1)^m ((j-1) j - 3 j + 3) / j!     0, -1/15, 1/210, ...
+#   b3 / y: -(-1)^m (j - 1) / j!            -1/3, 1/30, -1/840, ...
+# one row per power (highest first), one (1-long) column per bracket; the
+# first term left out is below 1.1e-18 at y = 2.
+_F1_SERIES = np.array([
+    [[(-1) ** (j // 2 - 1) * ((j - 1) * j - j + 1) / math.factorial(j)],
+     [(-1) ** (j // 2 - 1) * ((j - 1) * j - 3 * j + 3) / math.factorial(j)],
+     [(-1) ** (j // 2) * (j - 1) / math.factorial(j)]]
+    for j in range(25, 1, -2)])
 
 
 def _trig(s, c, u):
@@ -172,29 +167,23 @@ def _trig(s, c, u):
     return u * (s + t), u * (s + 3 * t), t
 
 
-def _brackets_direct(y, with_f2):
-    sy, cy, u = np.sin(y), np.cos(y), 1.0 / y
-    b = _trig(sy, cy, u)
-    return b + _trig(cy, -sy, u) if with_f2 else b
+def _f1_series(y):
+    """f1's (b1, b2, b3) rows for a 1-d y below Y_SERIES."""
+    b = horner(_F1_SERIES, y * y)
+    b[2] *= y
+    return b
 
 
-def _brackets_series(y, with_f2):
-    y2 = np.square(y)[..., None]
-    p = horner(_F1_SERIES, y2)
-    b = p[..., 0], p[..., 1], y * p[..., 2]
-    if not with_f2:
-        return b
-    p = horner(_F2_SERIES, y2)
-    u2 = 1.0 / np.square(y)
-    u3 = u2 / y
-    return b + (u3 * p[..., 0], u3 * p[..., 1], u2 * p[..., 2])
+def _f1_direct(y):
+    return _trig(np.sin(y), np.cos(y), 1.0 / y)
 
 
-def _brackets(y, with_f2):
-    """f1's brackets (b1, b2, b3), then f2's (d1, d2, -d3) if with_f2: the
-    series on the y below Y_SERIES, the trig forms on the others."""
-    return piecewise(y < Y_SERIES, _brackets_series, _brackets_direct, y,
-                     with_f2)
+def _brackets(y):
+    """f1's brackets (b1, b2, b3) at an array y > 0 of any shape: the
+    series on the elements below Y_SERIES, the trig forms on the others."""
+    v = y.ravel()
+    b = piecewise(v < Y_SERIES, _f1_series, _f1_direct, v)
+    return tuple(row.reshape(y.shape) for row in b)
 
 
 def _channels(x, m):
@@ -223,7 +212,7 @@ def _channel_sum(s, n, g, b1, b2, b3):
 
 
 def _exchange(x, m, g):
-    """(F1, F2) from one check of x, one _brackets and one _aux."""
+    """(F1, F2) from one check of x, _brackets, _trig and one _aux."""
     x, s, n, y = _channels(x, m)
     ok = x >= max(_Y_MIN_F2 * max(v, 1.0) ** (1 / 3) / v
                   for v in (m.n_left, m.n_right))
@@ -231,12 +220,12 @@ def _exchange(x, m, g):
         raise InvalidSeparation(
             f"separation x={first_failing(x, ok)} is too small: "
             f"f2 ~ 1/x^3 overflows")
-    b1, b2, b3, d1, d2, minus_d3 = _brackets(y, with_f2=True)
-    i1, i2 = _aux(y)
     u = 1.0 / y
+    d1, d2, minus_d3 = _trig(np.cos(y), -np.sin(y), u)
+    i1, i2 = _aux(y)
     aux = (2 / np.pi) * u * (i1 + u * i2)   # (2/pi)(I1(y)/y + I2(y)/y^2)
     # the c term of F2 is -s c (d3 + aux) = s c (-d3 - aux)
-    return (_channel_sum(s, n, g, b1, b2, b3),
+    return (_channel_sum(s, n, g, *_brackets(y)),
             _channel_sum(s, n, g, d1, d2, minus_d3 - aux))
 
 
@@ -248,7 +237,7 @@ def f1(x, m: MediumChirality, g: GeometryInvariants):
     helicities.  x is a float or an array; a float gives a float.
     """
     x, s, n, y = _channels(x, m)
-    return _channel_sum(s, n, g, *_brackets(y, with_f2=False))
+    return _channel_sum(s, n, g, *_brackets(y))
 
 
 def f2(x, m: MediumChirality, g: GeometryInvariants):

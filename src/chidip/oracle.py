@@ -141,9 +141,9 @@ def _legendre_rule(n):
 # the Gauss-Legendre points of a pole panel and of a tail panel
 _POLE_POINTS = 16
 _TAIL_POINTS = 10
-# the radial rules kept per panel count: a process that scans many n x
-# keeps the most recent only
-_RULES_KEPT = 64
+# the radial rules and Euler weights kept per panel or segment count (a
+# `verify` request set takes 120-136 segment counts; at most 31 MB kept)
+_RULES_KEPT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +284,13 @@ def _unit_panels(n_panels, n_points):
     return rule
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_RULES_KEPT)
 def _euler_weights(n):
     """C(n-1, k) / 2^(n-1), k < n: n - 1 rounds of pairwise averaging of n
     partial sums as one dot.  The binomials come exact from the integer
     recurrence and int / int division rounds correctly, so every weight is
     correctly rounded and the weights are exactly symmetric.  Each n is
-    built once per process and shared read-only."""
+    built once while cached and shared read-only."""
     c, scale, w = 1, 2 ** (n - 1), []
     for k in range(n):
         w.append(c / scale)

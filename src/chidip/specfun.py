@@ -25,9 +25,9 @@ They are evaluated with numpy alone, on one of two branches per element:
   which cancel nothing (the closed forms lose a factor of about u^2) and
   form no u^2, so nothing overflows up to the end of the float range.
 
-Each branch runs on its own elements alone (``_aux``, by the switch the
-brackets of :mod:`chidip.collective` use too), and the Laguerre rule in
-blocks of _BLOCK elements, which caps its (nodes x elements) temporary.
+Each branch runs on its own elements alone (``_aux``, as f1's brackets do
+at their own switch), and the Laguerre rule in blocks of _BLOCK elements,
+which caps its (nodes x elements) temporary.
 
 ``aux_i1`` and ``aux_i2`` take a float or an array of u; a float in gives
 float fields out.  Their ``est_abs_error`` is _ERR times the value (times

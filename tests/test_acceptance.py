@@ -13,8 +13,9 @@ Criteria and pinned tolerances:
   A5  chirality-mapping selection: documented open finding (both mappings
       satisfy the A3 window) with the relaxed bound: each active minimum
       strictly below the inactive one; half-difference stays the default
-  A6  |f1 - f1_oracle| <= 5e-15 over x in {0.5,1,2,3,5,10,20,50,111}
-      (n x up to 499.5) x 8 geometries x 3 media, < 60 s
+  A6  |f1 - f1_oracle| <= 5e-15 over x in {0.05/4.5,0.02,0.05,0.1,0.2,0.3,
+      0.5,1,2,3,5,10,20,50,111} (n x from 0.05 to 499.5) x 8 geometries
+      x 3 media, < 60 s
   A7  |f2 - f2_oracle| / max(|f2|, 0.01) <= 1e-10 at x in
       {0.03,0.1,1,2,4,20} for vacuum-parallel and active-orthogonal, and at
       n x = 500 for the active pair, < 300 s
@@ -172,8 +173,10 @@ def test_a6_on_shell_oracle_equivalence():
             rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), 1.0))
     t0 = time.perf_counter()
     worst = 0.0
-    # 111 puts the largest index, 4.5, at n x = 499.5 below the ceiling 500
-    for x in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 111.0):
+    # 0.05/4.5 puts the largest index, 4.5, at n x = 0.05; 111 puts it at
+    # n x = 499.5 below the ceiling 500
+    for x in (0.05 / 4.5, 0.02, 0.05, 0.1, 0.2, 0.3,
+              0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 111.0):
         for geo in geometries:
             inv = geometry_factors(geo)
             for m in (VACUUM, INACTIVE3, ACTIVE_DEFAULT):
@@ -183,7 +186,7 @@ def test_a6_on_shell_oracle_equivalence():
     assert worst <= 5e-15
     assert elapsed < 60.0
     print(f"A6 PASS - worst |f1 - oracle| = {worst:.1e} (tol 5e-15) over "
-          f"216 cases, {elapsed:.1f}s (< 60s)")
+          f"360 cases, {elapsed:.1f}s (< 60s)")
 
 
 def test_a7_off_shell_oracle_equivalence():

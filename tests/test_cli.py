@@ -1,14 +1,17 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chidip import GeometryInvariants, a_l_damping, evolve, f1
-from chidip.cli import SweepRequest, _emit_table, main, parse_config, run_sweep
+from chidip.cli import (SweepRequest, _emit_table, _parse_flags, main,
+                        parse_config, run_sweep)
 from chidip.collective import MediumChirality
+from chidip.errors import UsageError
 
 BASE_HEADER = "x,gamma_s,gamma_as,delta,f1,f2,e_int"
 
@@ -185,6 +188,33 @@ def test_flags_take_full_names_and_inline_values(capsys):
 
 # ---------------------------------------------------------------------------
 # request parsing and config files
+
+def _accepts(command, flag):
+    """Whether the subcommand's parser takes flag (any refusal but
+    'unrecognized argument' means it does)."""
+    try:
+        _parse_flags(command, [flag, "1"])
+    except UsageError as exc:
+        return "unrecognized argument" not in str(exc)
+    return True
+
+
+def test_subcommand_help_lists_its_flags(capsys):
+    every = set("--scenario --d1 --d2 --axis --n-left --n-right --n-bar "
+                "--rotation --x --time --format --lamb-cutoff "
+                "--config".split())
+    for command in ("sweep", "dynamics", "lamb"):
+        takes = {flag for flag in every if _accepts(command, flag)}
+        assert "--config" in takes and "--n-left" in takes
+        for option in ("--help", "-h"):
+            code, out, err = run_cli(capsys, command, "--format", "json",
+                                     option)
+            assert code == 0 and out == ""
+            assert set(re.findall(r"--[a-z0-9-]+", err)) == takes, command
+    # lamb takes no scene and dynamics no cutoff
+    assert not _accepts("lamb", "--x") and not _accepts("dynamics",
+                                                         "--lamb-cutoff")
+
 
 def test_parse_config_defaults():
     req = parse_config(["--scenario", "isotropic"])

@@ -25,8 +25,9 @@ from chidip import (
 from chidip.collective import (
     Y_SERIES,
     _brackets,
-    _brackets_direct,
-    _brackets_series,
+    _f1_direct,
+    _f1_series,
+    _trig,
 )
 from chidip.specfun import _aux
 
@@ -150,53 +151,73 @@ def test_dicke_limit_small_x():
 
 
 def test_series_and_direct_paths_agree_at_switchover():
-    # at Y_SERIES and its two float neighbours; measured worst 1.3e-13 (b2,
-    # just below), 5e-15 at Y_SERIES itself
+    # f1's brackets at Y_SERIES and its two float neighbours; measured
+    # worst 1.7e-16
     for y in (np.nextafter(Y_SERIES, 0.0), Y_SERIES,
-              np.nextafter(Y_SERIES, 1.0)):
-        direct, series = _brackets_direct(y, True), _brackets_series(y, True)
-        for a, b in zip(direct[:3], series[:3]):
-            assert abs(a - b) < 1e-12, y
-        for a, b in zip(direct[3:], series[3:]):
-            assert abs(a - b) < 1e-12 * max(1.0, abs(a)), y
-        # without f2 the same f1 brackets come back
-        assert _brackets_direct(y, False) == direct[:3]
-        assert _brackets_series(y, False) == series[:3]
+              np.nextafter(Y_SERIES, 4.0)):
+        direct, series = _f1_direct(np.array([y])), _f1_series(np.array([y]))
+        for a, b in zip(direct, series):
+            assert abs(a[0] - b[0]) < 1e-15, y
 
 
 def test_brackets_pick_series_or_direct_per_element():
     # _brackets runs the series on the y below Y_SERIES alone; each element
     # must equal bitwise the form its own y selects, as when both forms ran
     # over the whole array (y == Y_SERIES takes the trig form)
-    below, above = np.nextafter(Y_SERIES, 0.0), np.nextafter(Y_SERIES, 1.0)
+    below, above = np.nextafter(Y_SERIES, 0.0), np.nextafter(Y_SERIES, 4.0)
     cases = [
-        np.array([[1e-90, 1e-3], [below, Y_SERIES], [above, 0.049],
+        np.array([[1e-90, 1e-3], [below, Y_SERIES], [above, 1.9],
                   [0.5, 1e300]]),                       # straddles
         np.array([1e-4, 0.03, below]),                  # all small
-        np.array([Y_SERIES, above, 2.0, 1e5]),          # none small
-        np.multiply.outer(0.04, [1.0, 2.0]),            # y of a float x
+        np.array([Y_SERIES, above, 3.0, 1e5]),          # none small
+        np.multiply.outer(1.5, [1.0, 2.0]),             # y of a float x
         np.multiply.outer(np.logspace(-4, 1, 301), [0.7, 3.1]),
     ]
     for y in cases:
         small = y < Y_SERIES
-        for with_f2 in (False, True):
-            want = [np.where(small, s, d) for s, d in zip(
-                _brackets_series(np.minimum(y, Y_SERIES), with_f2),
-                _brackets_direct(np.maximum(y, Y_SERIES), with_f2))]
-            got = _brackets(y, with_f2)
-            assert len(got) == len(want) == (6 if with_f2 else 3)
+        v = y.ravel()
+        want = [np.where(small, s.reshape(y.shape), d.reshape(y.shape))
+                for s, d in zip(_f1_series(np.minimum(v, Y_SERIES)),
+                                _f1_direct(np.maximum(v, Y_SERIES)))]
+        got = _brackets(y)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert g.shape == y.shape
+            assert g.tobytes() == w.tobytes()
+
+
+def test_f2_brackets_match_mpmath_from_1e_99_to_2():
+    # f2's brackets (d1, d2, -d3) by the trig form alone, where f1's take
+    # the series: nothing cancels in them, so each is within a few eps of
+    # its 50-digit value relative to itself; measured worst 2.3 eps
+    eps = np.finfo(float).eps
+    y = np.logspace(-99, math.log10(2.0), 800)
+    got = _trig(np.cos(y), -np.sin(y), 1.0 / y)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for k, v in enumerate(y):
+            v = mpmath.mpf(float(v))
+            sv, cv = mpmath.sin(v), mpmath.cos(v)
+            want = (cv / v - sv / v**2 - cv / v**3,
+                    cv / v - 3 * sv / v**2 - 3 * cv / v**3,
+                    -(sv / v + cv / v**2))
             for g, w in zip(got, want):
-                assert g.shape == y.shape
-                assert g.tobytes() == w.tobytes()
+                worst = max(worst, float(abs(g[k] - w) / abs(w)) / eps)
+    assert worst <= 4.0, worst
+
+
+# below this y f1's brackets must be accurate to their own size (the
+# series side), and f2's, which cancel nothing, too
+_Y_OWN_SCALE = 2.0
 
 
 def _reference_channel(y, a, b, c, s):
     """One channel's brackets of F1 and F2 at the double y, per unit 3n/8,
     at the working precision, with I1/I2 from mpmath Si/Ci; and the error
-    scale of each: on the trig side the sum of |every term| before it
-    cancels (the aux term's too), on the series side |a b1| + |b b2| +
-    |c b3| (d1, d2, d3 + aux for F2)."""
-    small = y < Y_SERIES
+    scale of each: below _Y_OWN_SCALE |a b1| + |b b2| + |c b3| (d1, d2,
+    d3 + aux for F2), above it the sum of |every term| before it cancels
+    (the aux term's too)."""
+    small = y < _Y_OWN_SCALE
     y = mpmath.mpf(y)
     sy, cy = mpmath.sin(y), mpmath.cos(y)
     tail, ci = mpmath.pi / 2 - mpmath.si(y), mpmath.ci(y)
@@ -238,20 +259,20 @@ def _errors_in_eps(x, m, g):
 
 
 def test_f1_f2_match_mpmath_reference():
-    # measured worst: 6.1 eps (f1, both channels on the series side) and
-    # 1.5 eps (f2) here, and 4.6 and 2.4 eps over 16 other seeds of 700
-    # samples; k is twice that, the bound README "Numerical notes" states
+    # measured worst: 1.5 eps (f1) and 2.4 eps (f2) here, and 1.9 and
+    # 2.6 eps over 8 other seeds of 700 samples; k is the bound README
+    # "Numerical notes" states
     k = 12.0
     rng = np.random.default_rng(31)
     cases = []
     for i in range(700):
         m = MediumChirality(*map(float, rng.uniform(0.2, 5.0, size=2)))
         g = GeometryInvariants(*map(float, rng.uniform(-1.0, 1.0, size=3)))
-        if i < 300:         # both channels on the series side
-            x = 10 ** rng.uniform(-4, math.log10(Y_SERIES)) / max(
+        if i < 300:         # both channels below _Y_OWN_SCALE
+            x = 10 ** rng.uniform(-4, math.log10(_Y_OWN_SCALE)) / max(
                 m.n_left, m.n_right)
         elif i % 4 == 0:    # at the switch
-            x = Y_SERIES * 10 ** rng.uniform(-0.3, 0.3) / m.n_left
+            x = _Y_OWN_SCALE * 10 ** rng.uniform(-0.3, 0.3) / m.n_left
         else:
             x = 10 ** rng.uniform(-4, 3) / m.n_left
         cases.append((float(x), m, g))
@@ -401,9 +422,10 @@ def _bracket_scales(x, m):
     |b|, |c|, and of the rounding of their final combination."""
     n = np.array([n for _, n in m.channels])
     y = n * x
-    b1, b2, b3, d1, d2, minus_d3 = _brackets(y, with_f2=True)
-    i1, i2 = _aux(y)
     u = 1.0 / y
+    b1, b2, b3 = _brackets(y)
+    d1, d2, minus_d3 = _trig(np.cos(y), -np.sin(y), u)
+    i1, i2 = _aux(y)
     minus_d3_aux = minus_d3 - (2 / np.pi) * u * (i1 + u * i2)
     b = 3 * n / 8 * np.abs([b1, b2, b3, d1, d2, minus_d3_aux])
     return float(b[:3].sum()), float(b[3:].sum())

@@ -445,6 +445,17 @@ def test_euler_weights_are_iterated_pairwise_averaging():
                 <= 1e-15 * np.max(np.abs(partial))
 
 
+def test_euler_weights_cache_is_bounded():
+    # one bound covers the weights and the radial rules: a scan over many
+    # segment counts keeps the latest _RULES_KEPT, not every one it met
+    for n in range(1, 301):
+        w = _euler_weights(n)
+    assert _euler_weights.cache_info().currsize == oracle._RULES_KEPT
+    assert _euler_weights(300) is w
+    assert {f.cache_info().maxsize for f in (
+        _euler_weights, oracle._unit_panels, oracle._pole_grid)} == {256}
+
+
 # ---------------------------------------------------------------------------
 # on-shell oracle
 
@@ -526,9 +537,10 @@ def test_f2_oracle_matches_closed_form():
 def test_f2_oracle_error_is_bounded_by_its_drift():
     # the drift between the base and the refined pass, which refines every
     # radial rule and the tail's reach, bounds the error against the closed
-    # form: |f2 - f2_oracle| <= 10 drift + 5e-11 max(|f2|, 0.01), the floor
+    # form: |f2 - f2_oracle| <= 10 drift + 1e-13 max(|f2|, 0.01), the floor
     # the rounding of the tail sums sets, over x log-uniform in [0.03, 10],
-    # indices in [0.5, 3.25] and random directions
+    # indices in [0.5, 3.25] and random directions; the error beyond ten
+    # drifts measured at most 4e-15, the worst error 1.2e-12
     rng = np.random.default_rng(7)
     for _ in range(40):
         x = math.exp(rng.uniform(math.log(0.03), math.log(10.0)))
@@ -538,7 +550,7 @@ def test_f2_oracle_error_is_bounded_by_its_drift():
         coarse = oracle._f2_single(x, m, inv)
         drift = abs(oracle._f2_single(x, m, inv, refine=2) - coarse)
         want = f2(x, m, geometry_factors(g))
-        assert abs(coarse - want) <= 10 * drift + 5e-11 * max(abs(want),
+        assert abs(coarse - want) <= 10 * drift + 1e-13 * max(abs(want),
                                                               0.01), (x, m)
 
 

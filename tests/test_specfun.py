@@ -126,18 +126,19 @@ def test_array_elements_equal_float_calls():
 
 
 def test_each_branch_runs_on_its_own_elements(monkeypatch):
-    # one switch serves I1/I2 and the brackets of f1 and f2: the
-    # large-argument form (the Laguerre rule, the trig brackets) sees only
-    # the elements at or above the switch, the series only the others
+    # I1/I2 switch at U_SERIES and the brackets of f1 at Y_SERIES, each on
+    # its own: the large-argument form (the Laguerre rule, the trig
+    # brackets) sees only the elements at or above its switch, the series
+    # only the others
     for module, run, below, above, edge in (
             (specfun, specfun._aux, "_series", "_gauss_laguerre", U_SERIES),
-            (collective, lambda y: collective._brackets(y, True),
-             "_brackets_series", "_brackets_direct", collective.Y_SERIES)):
+            (collective, collective._brackets, "_f1_series", "_f1_direct",
+             collective.Y_SERIES)):
         seen = {}
         for name in (below, above):
-            def spy(v, *args, name=name, inner=getattr(module, name)):
+            def spy(v, name=name, inner=getattr(module, name)):
                 seen[name] = seen.get(name, 0) + v.size
-                return inner(v, *args)
+                return inner(v)
             monkeypatch.setattr(module, name, spy)
         scale = edge / U_SERIES
         run(np.linspace(0.01, 2.9, 1000) * scale)
