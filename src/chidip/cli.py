@@ -66,6 +66,10 @@ _DEFAULT_TIME_GRID = "0:5:200"
 _MAX_POINTS = 10**6
 
 
+class _Help(UsageError):
+    """-h or --help in flag position; the message lists the flags."""
+
+
 @dataclass(frozen=True)
 class SweepRequest:
     d1: tuple
@@ -178,12 +182,16 @@ def _parse_flags(command, tokens):
     """Parse a subcommand's flags into a namespace (None where unset; the
     last of a repeated flag wins), then fill the unset ones from --config.
     The token after a flag is its value unless it starts with '--';
-    --flag=VALUE takes any VALUE."""
+    --flag=VALUE takes any VALUE; -h/--help as a flag raises _Help."""
     flags = [f for f, commands in _FLAGS.items() if command in commands]
     keys = {flag[2:].replace("-", "_") for flag in flags}
     args = dict.fromkeys([*keys, "config"])
     rest = iter(tokens)
     for tok in rest:
+        if tok in ("-h", "--help"):
+            raise _Help("\n".join([
+                f"usage: chidip {command} [FLAG VALUE | FLAG=VALUE]...",
+                "flags:", *(f"  {f} VALUE" for f in flags), "  --config PATH"]))
         flag, eq, value = tok.partition("=")
         if flag not in flags and flag != "--config":
             raise UsageError(f"unrecognized argument {tok!r}")
@@ -368,19 +376,14 @@ def main(argv=None) -> int:
         print(f"chidip: unknown command {command!r} "
               f"(expected one of: {', '.join(_COMMANDS)})", file=sys.stderr)
         return 2
-    if "-h" in tokens or "--help" in tokens:
-        flags = [f"  {f} VALUE" for f, on in _FLAGS.items() if command in on]
-        print(f"usage: chidip {command} [FLAG VALUE | FLAG=VALUE]...",
-              "flags:", *flags, "  --config PATH", sep="\n", file=sys.stderr)
-        return 0
     try:
         return _COMMANDS[command](tokens, sys.stdout)
-    except UsageError as exc:
-        print(f"chidip {command}: {exc}", file=sys.stderr)
-        return 2
+    except _Help as exc:
+        print(exc, file=sys.stderr)
+        return 0
     except ChidipError as exc:
         print(f"chidip {command}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

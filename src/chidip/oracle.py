@@ -57,19 +57,21 @@ The pole window is [0, 2] (k/k0), integrated on panels of 16
 Gauss-Legendre points, folded onto its upper half [1, 2] against the
 mirror nodes 2 - k, which are exact in floating point; those nodes and
 weights depend on the panel count alone and are kept per count.
-The tail starts at 2 and has at least 48 segments, and always reaches at
-least k/k0 = 50 before acceleration.  Each segment is split into
-ceil(pi/(2y)) equal panels of 10 Gauss-Legendre points, so no panel is
-wider than 2 in k/k0 however long the half period, and its panels are
-summed before the Euler mean.  Every segment is segment 0 shifted by a
-multiple j of the half period, where sin(y k) and cos(y k) are segment
-0's times (-1)^j: the tail takes its phases once per pass, on segment
-0's nodes with the rule weights folded in, and each segment's sum is two
-dot products, so no sine is taken of a large argument y k.  The split
-makes the tail grid grow as 1/y below y = pi/2, so f2 takes n x from 0.01
-up, where its two passes stay within about 15 MB.  Each distinct index
-has its own grids, so the value of one channel never depends on the
-other's index.
+The tail starts at 2 and has 48 segments at every y.  Euler's mean of n
+partial sums is exact where the segment amplitudes are a polynomial in j
+of degree below n - 1; their nearest singularity, k = 1, lies y/pi
+segments before the tail, so they only get smoother as y grows.  Each
+segment is split into ceil(pi/(2y)) equal panels of 10 Gauss-Legendre
+points, so no panel is wider than 2 in k/k0 however long the half period,
+and its panels are summed before the Euler mean.  Every segment is
+segment 0 shifted by a multiple j of the half period, where sin(y k) and
+cos(y k) are segment 0's times (-1)^j: the tail takes its phases once per
+pass, on segment 0's nodes with the rule weights folded in, and each
+segment's sum is two dot products, so no sine is taken of a large
+argument y k.  The split makes the tail grid grow as 1/y below y = pi/2,
+so f2 takes n x from 0.01 up, where its two passes stay within about 15
+MB.  Each distinct index has its own grids, so the value of one channel
+never depends on the other's index.
 The projected dyadic is linear in s, so the channels of one index (both,
 in an inactive medium) are one pass with the summed weights, and their
 helicity terms cancel exactly.  These grids are fixed: the refinement
@@ -102,9 +104,8 @@ from .geometry import DipoleGeometry, _separation
 _N_POLAR = 64           # f1's polar nodes come in multiples of this
 _HALF_WINDOW = 1.0      # PV window [1 - 1, 1 + 1] around the pole at k/k0 = 1
 _TAIL_START = 1.0 + _HALF_WINDOW
-_TAIL_SEGMENTS = 48     # fewest half-period tail segments of a base pass
-_K_MAX = 50.0           # the tail reaches at least this k/k0
-# largest n*x either oracle takes: f2's grids grow as y
+_TAIL_SEGMENTS = 48     # half-period tail segments of a base pass
+# largest n*x either oracle takes: f1's rule and f2's pole window grow as y
 _Y_CEILING = 500.0
 # smallest n*x f2 takes: its tail grid grows as 1/y below y = pi/2
 _Y_FLOOR = 0.01
@@ -141,9 +142,9 @@ def _legendre_rule(n):
 # the Gauss-Legendre points of a pole panel and of a tail panel
 _POLE_POINTS = 16
 _TAIL_POINTS = 10
-# the radial rules and Euler weights kept per panel or segment count (a
-# `verify` request set takes 120-136 segment counts; at most 31 MB kept)
-_RULES_KEPT = 256
+# the radial rules kept per panel count (a `verify` request set takes at
+# most 13 tail and pole rules and 8 pole grids)
+_RULES_KEPT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +285,14 @@ def _unit_panels(n_panels, n_points):
     return rule
 
 
-@functools.lru_cache(maxsize=_RULES_KEPT)
+@functools.cache
 def _euler_weights(n):
     """C(n-1, k) / 2^(n-1), k < n: n - 1 rounds of pairwise averaging of n
-    partial sums as one dot.  The binomials come exact from the integer
-    recurrence and int / int division rounds correctly, so every weight is
-    correctly rounded and the weights are exactly symmetric.  Each n is
-    built once while cached and shared read-only."""
-    c, scale, w = 1, 2 ** (n - 1), []
-    for k in range(n):
-        w.append(c / scale)
-        c = c * (n - 1 - k) // (k + 1)
-    w = np.array(w)
+    partial sums as one dot.  The binomials are exact integers and int /
+    int division rounds correctly, so every weight is correctly rounded and
+    the weights are exactly symmetric.  Each n (48 and 96 in f2) is built
+    once per process and shared read-only."""
+    w = np.array([math.comb(n - 1, k) / 2 ** (n - 1) for k in range(n)])
     w.flags.writeable = False
     return w
 
@@ -347,11 +344,9 @@ def _f2_single(x, m, inv, refine=1):
     total = 0.0
     for n, hel in _by_index(m).items():
         y = n * x
-        seg_len = math.pi / y
         n_pan = refine * max(8, math.ceil(_TAIL_START * y / math.pi))
-        n_seg = refine * max(_TAIL_SEGMENTS,
-                             math.ceil((_K_MAX - _TAIL_START) / seg_len))
-        split = refine * math.ceil(seg_len / 2.0)
+        n_seg = refine * _TAIL_SEGMENTS
+        split = refine * math.ceil(math.pi / y / 2.0)
 
         # q(k) = h(k) 2k/(k+1), h(k) = (3n/8) k^3 times the ring average,
         # less the factor 3n/8 until the end: the window's upper half
@@ -380,8 +375,8 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     refine_tol * max(|value|, 0.01); raises on x (n x above 500) and
     refine_tol as f1_oracle does, and InvalidSeparation where min(n_left,
     n_right) * x < 0.01, where the split tail segments would take a grid
-    growing as 1/(n x).  Its cost grows linearly in n x above n x ~ 1.
-    Returns the base-grid value.
+    growing as 1/(n x).  Only its pole window grows with n x: 16 max(8,
+    ceil(2 n x / pi)) node pairs per pass.  Returns the base-grid value.
     """
     x, refine_tol = _checked(x, m, refine_tol)
     if min(m.n_left, m.n_right) * x < _Y_FLOOR:

@@ -79,6 +79,33 @@ def test_thirty_percent_slower_is_worse():
     assert not any(e["worse"] for e in summary["metrics"].values())
 
 
+def test_spread_beyond_the_bound_is_unresolved():
+    # BEFORE's quartiles 77.5 and 122.5 about a median of 100 span 45 % of it,
+    # beyond the 25 % bound, so a 10 % change cannot be told from noise;
+    # setup_s spreads 2 % and stays resolved
+    before = [_run(rate, 1.0 + 0.002 * k)
+              for k, rate in enumerate([40.0, 70.0, 70.0, 100.0, 100.0,
+                                        100.0, 100.0, 130.0, 130.0, 160.0])]
+    after = [_run(1.1 * r["metrics"]["items_per_s"]["value"], 1.0)
+             for r in before]
+    metrics = bench_pairs.summarize({"before": before, "after": after},
+                                    METRICS)["metrics"]
+    rate = metrics["items_per_s"]
+    assert (rate["before"]["q1"], rate["before"]["q3"]) == (77.5, 122.5)
+    assert rate["unresolved"] and not rate["worse"]
+    assert not metrics["setup_s"]["unresolved"]
+    # the same spread is resolved where every AFTER run beats every BEFORE
+    # run, and one tie leaves it unresolved
+    after = [_run(161.0 + k, 1.0) for k in range(10)]
+    metrics = bench_pairs.summarize({"before": before, "after": after},
+                                    METRICS)["metrics"]
+    assert not metrics["items_per_s"]["unresolved"]
+    after[0] = _run(160.0, 1.0)
+    metrics = bench_pairs.summarize({"before": before, "after": after},
+                                    METRICS)["metrics"]
+    assert metrics["items_per_s"]["unresolved"]
+
+
 def _checkouts(tmp_path, monkeypatch, run_once):
     """BEFORE and AFTER directories under tmp_path, AFTER with a
     BENCHMARK.json of METRICS, the stub run_once in place and tmp_path as
@@ -153,7 +180,8 @@ def test_failed_run_keeps_the_runs_collected_so_far(tmp_path, monkeypatch):
 def test_each_workload_reports_its_verdicts_on_stderr(tmp_path, monkeypatch,
                                                        capsys):
     # after the last pair, one stderr line per workload and end-to-end
-    # metric gives both medians, the change, the wins, gain and worse, and
+    # metric gives both medians, the change, the wins, gain, worse and
+    # unresolved, and
     # the JSON keeps its layout.  AFTER serves twice the items and starts in
     # 1.4 times the time
     def run_once(checkout, workload, seed):
@@ -172,9 +200,9 @@ def test_each_workload_reports_its_verdicts_on_stderr(tmp_path, monkeypatch,
         for workload in ("sweep", "verify")
         for line in (
             f"{workload} items_per_s: median 100 -> 200, change +100.0%, "
-            "wins 4/4, gain True, worse False",
+            "wins 4/4, gain True, worse False, unresolved False",
             f"{workload} setup_s: median 1 -> 1.4, change -40.0%, "
-            "wins 0/4, gain False, worse True")]
+            "wins 0/4, gain False, worse True, unresolved False")]
     result = json.loads((tmp_path / "BENCH_stub.json").read_text())
     assert set(result) == {"label", "seed", "pairs", "seconds", "host",
                            "sources", "workloads"}

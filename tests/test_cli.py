@@ -216,6 +216,16 @@ def test_subcommand_help_lists_its_flags(capsys):
                                                          "--lamb-cutoff")
 
 
+def test_help_is_help_only_in_flag_position(capsys):
+    # the token after a flag is its value unless it starts with '--', so -h
+    # there is the value, and a bad one; in flag position it asks for help
+    code, out, err = run_cli(capsys, "lamb", "--lamb-cutoff", "-h")
+    assert (code, out) == (2, "")
+    assert err == "chidip lamb: --lamb-cutoff expects a number — got '-h'\n"
+    code, out, err = run_cli(capsys, "sweep", "--scenario", "isotropic", "-h")
+    assert (code, out) == (0, "") and err.startswith("usage: chidip sweep")
+
+
 def test_parse_config_defaults():
     req = parse_config(["--scenario", "isotropic"])
     assert isinstance(req, SweepRequest)

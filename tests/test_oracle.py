@@ -312,14 +312,15 @@ def test_ring_average_matches_mpmath_moments():
 
 
 def test_f2_grids_split_the_tail_segments(monkeypatch):
-    # the refined pass doubles the pole panels, the tail segments and the
-    # panels per segment, split = refine * ceil(pi / (2 y)), and the Euler
-    # mean takes one partial sum per segment.  At x = 0.05, y = 0.05 (n = 1)
-    # has half periods of 62.8 in k/k0, so 48 segments of 32 panels; y =
-    # 0.15 (n = 3) 48 segments of 11.  At x = 20, y = 20 takes 306 segments
-    # and y = 60 917, of one panel each.  The pole window has 2 max(8,
-    # ceil(2 y / pi)) panels, half of them on its upper half, which the
-    # fold takes: 16 at x = 0.05, 26 and 78 at 20
+    # the tail has 48 segments at every y; the refined pass doubles the
+    # pole panels, the tail segments and the panels per segment, split =
+    # refine * ceil(pi / (2 y)), and the Euler mean takes one partial sum
+    # per segment.  At x = 0.05, y = 0.05 (n = 1) has half periods of 62.8
+    # in k/k0, so 48 segments of 32 panels; y = 0.15 (n = 3) 48 segments of
+    # 11.  From x = 20 to the ceiling n x = 500 the segments have one panel
+    # each.  The pole window has 2 max(8, ceil(2 y / pi)) panels, half of
+    # them on its upper half, which the fold takes: 16 at x = 0.05, 26 and
+    # 78 at 20, 214 and 638 at 500 / 3
     seen = []
 
     def pole(n_pan):
@@ -344,8 +345,10 @@ def test_f2_grids_split_the_tail_segments(monkeypatch):
     for x, refine, (pole1, seg1, split1, pole3, seg3, split3) in (
             (0.05, 1, (16, 48, 32, 16, 48, 11)),
             (0.05, 2, (32, 96, 64, 32, 96, 22)),
-            (20.0, 1, (26, 306, 1, 78, 917, 1)),
-            (20.0, 2, (52, 612, 2, 156, 1834, 2))):
+            (20.0, 1, (26, 48, 1, 78, 48, 1)),
+            (20.0, 2, (52, 96, 2, 156, 96, 2)),
+            (500.0 / 3.0, 1, (214, 48, 1, 638, 48, 1)),
+            (500.0 / 3.0, 2, (428, 96, 2, 1276, 96, 2))):
         seen.clear()
         oracle._f2_single(x, m, inv, refine)
         assert seen == [pole1, (seg1, split1), ("euler", seg1),
@@ -393,12 +396,13 @@ def test_tail_segments_match_a_direct_sum_at_30_digit_phases():
     # digits, so no sign of the half-period shift is assumed; S and C are
     # _ring_average's at y k, which the moment tests above check.  Segments
     # 0, 1, the last and five at random of grids of f2 from y = 0.05 to
-    # 500, both passes; the bound is 2 eps of the segment scale, the sum of
-    # w 2k^4 / ((k + 1)(k - 1)) (|S| + |C|) over its nodes (measured <= 1.0)
+    # 500, both passes, and of 49 segments; the bound is 2 eps of the
+    # segment scale, the sum of w 2k^4 / ((k + 1)(k - 1)) (|S| + |C|) over
+    # its nodes (measured <= 1.0)
     rng = np.random.default_rng(31)
     for y, n_seg, split in ((0.05, 48, 32), (0.15, 96, 22), (1.0, 49, 1),
-                            (20.0, 306, 1), (60.0, 1834, 2),
-                            (500.0, 7640, 1)):
+                            (20.0, 48, 1), (60.0, 96, 2),
+                            (500.0, 48, 1), (500.0, 96, 2)):
         inv, hel = _random_ring(rng)
         seg_len = math.pi / y
         t, w = _unit_panels(split, 10)
@@ -445,15 +449,15 @@ def test_euler_weights_are_iterated_pairwise_averaging():
                 <= 1e-15 * np.max(np.abs(partial))
 
 
-def test_euler_weights_cache_is_bounded():
-    # one bound covers the weights and the radial rules: a scan over many
-    # segment counts keeps the latest _RULES_KEPT, not every one it met
-    for n in range(1, 301):
-        w = _euler_weights(n)
-    assert _euler_weights.cache_info().currsize == oracle._RULES_KEPT
-    assert _euler_weights(300) is w
+def test_radial_rule_caches_are_bounded():
+    # one bound covers the radial rules: a scan over many pole panel counts
+    # keeps the latest _RULES_KEPT, not every one it met
+    for n_pan in range(1, 101):
+        grid = oracle._pole_grid(n_pan)
+    assert oracle._pole_grid.cache_info().currsize == oracle._RULES_KEPT
+    assert oracle._pole_grid(100) is grid
     assert {f.cache_info().maxsize for f in (
-        _euler_weights, oracle._unit_panels, oracle._pole_grid)} == {256}
+        oracle._unit_panels, oracle._pole_grid)} == {64}
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +538,27 @@ def test_f2_oracle_matches_closed_form():
         assert abs(got - want) / max(abs(want), 0.01) <= 1e-10
 
 
+def _drift_cases(rng):
+    # 40 cases with x log-uniform in [0.03, 10] and indices in [0.5, 3.25],
+    # then 40 with max(n) x log-uniform in [pi, 500] and indices in [0.5, 4]
+    for _ in range(40):
+        x = math.exp(rng.uniform(math.log(0.03), math.log(10.0)))
+        yield x, MediumChirality(*rng.uniform(0.5, 3.25, size=2))
+    for _ in range(40):
+        n = rng.uniform(0.5, 4.0, size=2)
+        y = math.exp(rng.uniform(math.log(math.pi), math.log(500.0)))
+        yield y / n.max(), MediumChirality(*n)
+
+
 def test_f2_oracle_error_is_bounded_by_its_drift():
     # the drift between the base and the refined pass, which refines every
     # radial rule and the tail's reach, bounds the error against the closed
     # form: |f2 - f2_oracle| <= 10 drift + 1e-13 max(|f2|, 0.01), the floor
-    # the rounding of the tail sums sets, over x log-uniform in [0.03, 10],
-    # indices in [0.5, 3.25] and random directions; the error beyond ten
-    # drifts measured at most 4e-15, the worst error 1.2e-12
+    # the rounding of the tail sums sets, up to the ceiling n x = 500, with
+    # random directions; as fractions of max(|f2|, 0.01), the error beyond
+    # ten drifts measured at most 1.5e-15, the worst error 1.1e-12
     rng = np.random.default_rng(7)
-    for _ in range(40):
-        x = math.exp(rng.uniform(math.log(0.03), math.log(10.0)))
-        m = MediumChirality(*rng.uniform(0.5, 3.25, size=2))
+    for x, m in _drift_cases(rng):
         g = _random_geometry(rng)
         inv = _ring(g)
         coarse = oracle._f2_single(x, m, inv)
@@ -554,9 +568,10 @@ def test_f2_oracle_error_is_bounded_by_its_drift():
                                                               0.01), (x, m)
 
 
-def test_f2_oracle_matches_closed_form_on_multi_block_grids():
-    # at x = 20 and 50 the tail grids have 306 to 4584 segments (and the
-    # Euler mean as many partial sums); A7 samples x = 20 in other media
+def test_f2_oracle_matches_closed_form_at_large_separations():
+    # at x = 20 and 50 (n x up to 150) the half periods are short and the
+    # pole window has up to 96 panels per pass; A7 samples x = 20 in other
+    # media
     m = MediumChirality(1.0, 3.0)
     for x in (20.0, 50.0):
         for g in (ORTH, ISO):
@@ -665,9 +680,10 @@ def test_f2_oracle_refuses_n_x_below_the_floor():
 
 
 def test_f2_oracle_divergence_detected():
-    # the refined pass must differ from the base pass also where n*x > 2 pi
-    # in both channels (6.0, (3.25, 1.75)): an impossible tolerance fails
-    for x, m in ((2.0, ACTIVE), (6.0, MediumChirality(3.25, 1.75))):
+    # the refined pass must differ from the base pass where n*x > 2 pi in
+    # both channels: an impossible tolerance fails; the drift measured
+    # 3.2e-15 of scale at (6.0, ACTIVE) and 1.6e-15 at (6.0, (3.25, 1.75))
+    for x, m in ((6.0, ACTIVE), (6.0, MediumChirality(3.25, 1.75))):
         with pytest.raises(OracleDivergence):
             f2_oracle(x, m, ORTH, refine_tol=1e-16)
 

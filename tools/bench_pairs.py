@@ -21,13 +21,17 @@ correct, AFTER failed no more requests than BEFORE, AFTER won at least
 nine tenths of the pairs and the medians differ by more than the distance
 between BEFORE's quartiles.  ``worse`` is true when the change of the
 median is below minus the metric's ``bound`` in BENCHMARK.json.
+``unresolved`` is true when BEFORE's spread, the distance between its
+quartiles over |median|, exceeds that bound, unless every AFTER run beats
+every BEFORE run: such a change cannot be told from the noise.
 ``sources`` names the code each side ran: per side, the sha256 over its
 src/chidip/*.py in sorted path order, each file's path relative to the
 checkout and then its bytes, each prefixed by its length.  It reads the
 files alone, so a checkout need not be a git repository.
 
 After the last pair, one stderr line per workload and end-to-end metric
-gives both medians, the change, the wins, ``gain`` and ``worse``.
+gives both medians, the change, the wins, ``gain``, ``worse`` and
+``unresolved``.
 
 A run that exits nonzero ends the measurement: BENCH_<label>.json then
 holds every workload's runs collected so far, none summarized, and
@@ -76,8 +80,8 @@ def source_digest(checkout: Path) -> str:
 def summarize(runs, metrics):
     """Whether each side's runs were all correct and how many requests they
     failed, and per end-to-end metric: both sides' quartiles, the wins of
-    AFTER, whether they make a gain and whether the median got worse
-    beyond the metric's bound."""
+    AFTER, whether they make a gain, whether the median got worse beyond
+    the metric's bound and whether BEFORE's spread leaves it unresolved."""
     correct = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
     failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     # a change that gets answers wrong or drops requests gains nothing
@@ -91,6 +95,8 @@ def summarize(runs, metrics):
                      for side, v in values.items()}
         wins = sum(sign * (a - b) > 0
                    for b, a in zip(values["before"], values["after"]))
+        beats_all = all(sign * (a - b) > 0 for a in values["after"]
+                        for b in values["before"])
         q1, med, q3 = quartiles["before"]
         gap = sign * (quartiles["after"][1] - med)
         change = gap / abs(med) if med else None
@@ -104,6 +110,8 @@ def summarize(runs, metrics):
             "gain": (sound and wins >= 0.9 * len(values["before"])
                      and gap > q3 - q1),
             "worse": change is not None and change < -metric["bound"],
+            "unresolved": (q3 - q1 > metric["bound"] * abs(med)
+                           and not beats_all),
         }
     return {"correct": correct, "failed": failed, "metrics": out}
 
@@ -115,7 +123,7 @@ def report(workload, summary, pairs):
         yield (f"{workload} {name}: median {entry['before']['median']:.6g} "
                f"-> {entry['after']['median']:.6g}, change {change}, wins "
                f"{entry['wins']}/{pairs}, gain {entry['gain']}, worse "
-               f"{entry['worse']}")
+               f"{entry['worse']}, unresolved {entry['unresolved']}")
 
 
 def main(argv=None) -> int:
