@@ -36,8 +36,9 @@ agree to ~2e-16 there.  I1/I2 switch separately, at specfun.U_SERIES.
 
 f1, f2, a_t and collective_spectrum take a float (giving floats) or an
 array of x of any shape, with both helicity channels on a trailing axis of
-length 2; f2, a_t and collective_spectrum share one pass that yields F1 and
-F2.  An invalid x raises InvalidSeparation naming the first offending value.
+length 2.  f2 evaluates F2's brackets alone; a_t and collective_spectrum
+take F1 and F2 from one check of x.  An invalid x raises InvalidSeparation
+naming the first offending value.
 """
 
 from __future__ import annotations
@@ -211,8 +212,8 @@ def _channel_sum(s, n, g, b1, b2, b3):
     return to_output(terms[..., 0] + terms[..., 1])
 
 
-def _exchange(x, m, g):
-    """(F1, F2) from one check of x, _brackets, _trig and one _aux."""
+def _f2_channels(x, m):
+    """_channels with f2's floor on n*x: (s, n, y)."""
     x, s, n, y = _channels(x, m)
     ok = x >= max(_Y_MIN_F2 * max(v, 1.0) ** (1 / 3) / v
                   for v in (m.n_left, m.n_right))
@@ -220,13 +221,24 @@ def _exchange(x, m, g):
         raise InvalidSeparation(
             f"separation x={first_failing(x, ok)} is too small: "
             f"f2 ~ 1/x^3 overflows")
+    return s, n, y
+
+
+def _f2_brackets(y):
+    """F2's brackets (d1, d2, -d3 - aux) at an array y > 0, from _trig and
+    one _aux: the c term of F2 is -s c (d3 + aux) = s c (-d3 - aux)."""
     u = 1.0 / y
     d1, d2, minus_d3 = _trig(np.cos(y), -np.sin(y), u)
     i1, i2 = _aux(y)
     aux = (2 / np.pi) * u * (i1 + u * i2)   # (2/pi)(I1(y)/y + I2(y)/y^2)
-    # the c term of F2 is -s c (d3 + aux) = s c (-d3 - aux)
+    return d1, d2, minus_d3 - aux
+
+
+def _exchange(x, m, g):
+    """(F1, F2) from one check of x, _brackets and _f2_brackets."""
+    s, n, y = _f2_channels(x, m)
     return (_channel_sum(s, n, g, *_brackets(y)),
-            _channel_sum(s, n, g, d1, d2, minus_d3 - aux))
+            _channel_sum(s, n, g, *_f2_brackets(y)))
 
 
 def f1(x, m: MediumChirality, g: GeometryInvariants):
@@ -249,7 +261,8 @@ def f2(x, m: MediumChirality, g: GeometryInvariants):
     n*x below 1e-100 * cbrt(max(n, 1)) in either channel, which keeps
     (3n/8)/(n*x)^3 below 4e299.
     """
-    return _exchange(x, m, g)[1]
+    s, n, y = _f2_channels(x, m)
+    return _channel_sum(s, n, g, *_f2_brackets(y))
 
 
 def a_t(x, m: MediumChirality, g: GeometryInvariants):

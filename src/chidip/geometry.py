@@ -16,6 +16,7 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -33,7 +34,7 @@ _UNIT_TOL = 1e-12
 def _vector(v: ArrayLike, name: str) -> np.ndarray:
     """v as a finite real 3-vector, else InvalidGeometry."""
     v = as_floats(v, InvalidGeometry, name)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
+    if v.shape != (3,) or not np.isfinite(v).all():
         raise InvalidGeometry(f"{name} must be a finite 3-vector, got {v!r}")
     return v
 
@@ -50,7 +51,7 @@ def _unit(v: ArrayLike, name: str) -> np.ndarray:
     v = _vector(v, name)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(v)
-    if np.any(v) and not 1e-150 < norm < np.inf:
+    if v.any() and not 1e-150 < norm < np.inf:
         # the squares over- or underflow: scale to the largest first
         v = v / np.max(np.abs(v))
         norm = np.linalg.norm(v)
@@ -72,7 +73,9 @@ class DipoleGeometry:
     def __post_init__(self):
         for name in ("d1_hat", "d2_hat", "r_hat"):
             v = _vector(getattr(self, name), name)
-            if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+            # math.hypot cannot overflow (np.linalg.norm's sum of squares
+            # can, with a RuntimeWarning) and costs a fraction of it
+            if abs(math.hypot(*v) - 1.0) > _UNIT_TOL:
                 raise InvalidGeometry(f"{name} must be a unit 3-vector")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "x", _separation(self.x))

@@ -65,13 +65,13 @@ segment is split into ceil(pi/(2y)) equal panels of 10 Gauss-Legendre
 points, so no panel is wider than 2 in k/k0 however long the half period,
 and its panels are summed before the Euler mean.  Every segment is
 segment 0 shifted by a multiple j of the half period, where sin(y k) and
-cos(y k) are segment 0's times (-1)^j: the tail takes its phases once per
-pass, on segment 0's nodes with the rule weights folded in, and each
-segment's sum is two dot products, so no sine is taken of a large
-argument y k.  The split makes the tail grid grow as 1/y below y = pi/2,
-so f2 takes n x from 0.01 up, where its two passes stay within about 15
-MB.  Each distinct index has its own grids, so the value of one channel
-never depends on the other's index.
+cos(y k) are segment 0's times (-1)^j: the tail takes its phases once, on
+segment 0's nodes with the rule weights folded in, and each segment's sum
+is two dot products, so no sine is taken of a large argument y k.  The
+split makes the tail grid grow as 1/y below y = pi/2, so f2 takes n x
+from 0.01 up, where its two passes stay within about 20 MB.  Each
+distinct index has its own grids, so the value of one channel never
+depends on the other's index.
 The projected dyadic is linear in s, so the channels of one index (both,
 in an inactive medium) are one pass with the summed weights, and their
 helicity terms cancel exactly.  These grids are fixed: the refinement
@@ -83,7 +83,12 @@ against twice as many.  f2's refined grid has twice the pole panels (half
 their width), twice the tail segments (so the tail reaches twice as far)
 and twice the panels per segment, so its drift sees every radial rule and
 the tail's reach; the angular moments are exact and have no rule to
-refine.
+refine.  Each oracle evaluates its two passes together, one distinct
+index at a time: their nodes are one grid, kept per count with each
+pass's weights on its own nodes and 0 on the other's, so one ring
+average, one set of phases and one matrix product serve both.  Each pass
+is the same rule and its value is the same sum as when evaluated apart,
+up to the order of rounding, so the drift means what it did.
 
 These functions are verification fixtures: production code should use the
 closed forms in :mod:`chidip.collective`, which are ~10^3 x faster.
@@ -142,8 +147,9 @@ def _legendre_rule(n):
 # the Gauss-Legendre points of a pole panel and of a tail panel
 _POLE_POINTS = 16
 _TAIL_POINTS = 10
-# the radial rules kept per panel count (a `verify` request set takes at
-# most 13 tail and pole rules and 8 pole grids)
+# the rules and grids kept per count (the `verify` request sets of seeds
+# 1, 23, 47 and 89 together take 15 panel rules, 5 pole grids, 3 tail
+# grids and 1 polar grid)
 _RULES_KEPT = 64
 
 
@@ -153,12 +159,15 @@ _RULES_KEPT = 64
 def _ring(g):
     """The invariants d2.d1, b = (d2.r_hat)(r_hat.d1) and c = r_hat.(d2 x d1)
     of the projected dyadic's ring average, once per oracle call; c by
-    components, as np.cross costs ~25 us on one 3-vector."""
+    components, in Python floats, as np.cross costs ~25 us on one 3-vector
+    and numpy scalars cost ~0.1 us an operation."""
     d1, d2, r = g.d1_hat, g.d2_hat, g.r_hat
-    c = (r[0] * (d2[1] * d1[2] - d2[2] * d1[1])
-         + r[1] * (d2[2] * d1[0] - d2[0] * d1[2])
-         + r[2] * (d2[0] * d1[1] - d2[1] * d1[0]))
-    return d2 @ d1, (d2 @ r) * (r @ d1), c
+    dot21, b = d2 @ d1, (d2 @ r) * (r @ d1)
+    (u1, u2, u3), (v1, v2, v3), (r1, r2, r3) = (d1.tolist(), d2.tolist(),
+                                                r.tolist())
+    c = (r1 * (v2 * u3 - v3 * u2) + r2 * (v3 * u1 - v1 * u3)
+         + r3 * (v1 * u2 - v2 * u1))
+    return dot21, b, c
 
 
 def _by_index(m):
@@ -170,23 +179,48 @@ def _by_index(m):
     return groups
 
 
+def _two_passes(base, refined):
+    """The rules (nodes, weights) of an oracle's two passes as one grid:
+    their nodes, concatenated, and a (2, nodes) matrix whose row p holds
+    pass p's weights on its own nodes and 0 on the other's."""
+    (t0, w0), (t1, w1) = base, refined
+    w = np.zeros((2, t0.size + t1.size))
+    w[0, :t0.size], w[1, t0.size:] = w0, w1
+    return np.concatenate([t0, t1]), w
+
+
+@functools.lru_cache(maxsize=_RULES_KEPT)
+def _polar_grid(n_polar):
+    """The mu > 0 halves of the n_polar- and the 2 n_polar-point
+    Gauss-Legendre rules (n_polar even), f1's two passes, with doubled
+    weights, as one grid of _two_passes.  Each n_polar is built once while
+    cached and shared read-only."""
+    halves = []
+    for n in (n_polar, 2 * n_polar):
+        x, w = _legendre_rule(n)
+        halves.append((x[n // 2:], 2.0 * w[n // 2:]))
+    grid = _two_passes(*halves)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
 def _reduced_angular(inv, hel, n_polar):
-    """The mu > 0 half of the n_polar-point Gauss-Legendre rule (n_polar
-    even) and the phi-averaged projected dyadic, summed over the helicities
-    hel of one index's channels, times the mu weights (polar axis along
-    r_hat).  With inv = (d2.d1, b, c) from _ring, the ring moments of the
-    module docstring give for helicity s
+    """The nodes mu of _polar_grid(n_polar) and, per pass, the phi-averaged
+    projected dyadic summed over the helicities hel of one index's
+    channels, times that pass's mu weights (polar axis along r_hat): a
+    (2, nodes) complex matrix.  With inv = (d2.d1, b, c) from _ring, the
+    ring moments of the module docstring give for helicity s
 
         d2.d1 - [(1 - mu^2)/2 (d2.d1 - b) + mu^2 b] + s i mu c,
 
     linear in s: the sum is len(hel) times the even part plus sum(hel)
     times the helicity term, which hel = (1.0, -1.0) cancels exactly.  Its
-    value at -mu is the conjugate of its value at +mu and the rule is
+    value at -mu is the conjugate of its value at +mu and each rule is
     symmetric, so the node at -mu is folded onto +mu: the real part of the
     full mu sum is the half sum with doubled weights.
     """
-    mu, wmu = _legendre_rule(n_polar)
-    mu, wmu = mu[n_polar // 2:], 2.0 * wmu[n_polar // 2:]
+    mu, wmu = _polar_grid(n_polar)
     d21, b, c = inv
     even = d21 - (0.5 * (1.0 - mu**2) * (d21 - b) + mu**2 * b)
     return mu, wmu * (len(hel) * even + sum(hel) * 1j * mu * c)
@@ -230,17 +264,19 @@ def _checked(x, m, refine_tol):
 # ---------------------------------------------------------------------------
 # on-shell oracle
 
-def _f1_single(x, m, inv, refine=1):
-    """One pass of the f1 quadrature, one distinct index at a time, on
-    refine * 64 * ceil((0.55 y + 40) / 64) polar nodes."""
+def _f1_passes(x, m, inv):
+    """The base and the refined pass of the f1 quadrature, as Python
+    floats: per distinct index, one set of phases on the nodes of both
+    polar rules, 64 * ceil((0.55 y + 40) / 64) and twice as many, and one
+    matrix product with their weights."""
     total = 0.0
     for n, hel in _by_index(m).items():
         y = n * x
-        n_polar = _N_POLAR * refine * math.ceil((0.55 * y + 40) / _N_POLAR)
+        n_polar = _N_POLAR * math.ceil((0.55 * y + 40) / _N_POLAR)
         mu, w = _reduced_angular(inv, hel, n_polar)
-        average = (w * np.exp(1j * y * mu)).real.sum() / 2
-        total += (3.0 * n / 8.0) * float(average)
-    return total
+        average = (w @ np.exp(1j * y * mu)).real / 2
+        total = total + (3.0 * n / 8.0) * average
+    return tuple(total.tolist())
 
 
 def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
@@ -258,9 +294,7 @@ def f1_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
     Deterministic (fixed shapes and summation order).
     """
     x, refine_tol = _checked(x, m, refine_tol)
-    inv = _ring(g)
-    coarse = _f1_single(x, m, inv)
-    fine = _f1_single(x, m, inv, refine=2)
+    coarse, fine = _f1_passes(x, m, _ring(g))
     if abs(fine - coarse) > refine_tol:
         raise OracleDivergence(
             f"f1 quadrature drift {abs(fine - coarse):.3e} > {refine_tol:.1e} "
@@ -299,13 +333,16 @@ def _euler_weights(n):
 
 @functools.lru_cache(maxsize=_RULES_KEPT)
 def _pole_grid(n_pan):
-    """The pole window folded onto its upper half [1, 2], on n_pan panels
-    of 16 points: the nodes (2 x 16 n_pan) of the upper half k and of
-    their mirrors 2 - k (exact in floating point for k in [1, 2]), 2k^4 /
-    (k + 1) at both rows, and the PV weights w / (k - 1) of the fold q(k) -
-    q(2 - k).  Each n_pan is built once while cached and shared
+    """The pole window folded onto its upper half [1, 2], for both passes:
+    the base pass's n_pan panels of 16 points then the refined pass's 2
+    n_pan, as the nodes (2 x 48 n_pan) of the upper half k and of their
+    mirrors 2 - k (exact in floating point for k in [1, 2]), 2k^4 / (k + 1)
+    at both rows, and a (2, 48 n_pan) matrix whose row p holds pass p's
+    PV weights w / (k - 1) of the fold q(k) - q(2 - k) on its own nodes
+    and 0 elsewhere.  Each n_pan is built once while cached and shared
     read-only."""
-    t, w = _unit_panels(n_pan, _POLE_POINTS)
+    t, w = _two_passes(_unit_panels(n_pan, _POLE_POINTS),
+                       _unit_panels(2 * n_pan, _POLE_POINTS))
     k = 1.0 + _HALF_WINDOW * t
     nodes = np.array([k, 2.0 - k])
     grid = (nodes, 2.0 * nodes**4 / (nodes + 1.0),
@@ -315,51 +352,92 @@ def _pole_grid(n_pan):
     return grid
 
 
-def _tail_segments(y, inv, hel, n_seg, split):
-    """The sums of q(k) / (k - 1) over n_seg half-period tail segments from
-    k/k0 = 2, each split into split panels of 10 points, without the
-    channel weight 3n/8.  Segment j is segment 0 shifted by j pi / y, where
-    sin(y k) and cos(y k) are segment 0's times (-1)^j: the phases are
-    taken once, on segment 0's nodes with the rule weights folded in (ws,
-    wc), and each segment's sum is GS @ ws + GC @ wc, GS and GC the
-    ring-average factors S and C times 2k^4 / ((k + 1)(k - 1))."""
+@functools.lru_cache(maxsize=_RULES_KEPT)
+def _tail_grid(split):
+    """Segment 0 of the tail in units of its half period, for both passes:
+    the nodes t in [0, 1] of the base pass's split panels of 10 points then
+    of the refined pass's 2 split (10 split, then 20 split), and each
+    node's weight in its own pass.  Each split is built once while cached
+    and shared read-only."""
+    t, w = _two_passes(_unit_panels(split, _TAIL_POINTS),
+                       _unit_panels(2 * split, _TAIL_POINTS))
+    grid = (t, w[0] + w[1])
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+# per tail segment j of both passes, one row: j, and 2 (-1)^j, the factor
+# of segment j's q(k) / (k - 1) that is neither phase nor ring average
+_SEGMENT = np.arange(2.0 * _TAIL_SEGMENTS)[:, None]
+_TWO_SIGNS = 2.0 * (1.0 - 2.0 * (_SEGMENT % 2.0))
+
+
+def _f2_sums(y, inv, hel):
+    """The sums of q(k) / (k - 1) of f2's two passes at y = n x, without
+    the channel weight 3n/8: the pole window's PV sums, an array of 2, and
+    each pass's sums over its half-period tail segments from k/k0 = 2, 48
+    for the base pass and 96 for the refined one.  The base pass has
+    max(8, ceil(2 y / pi)) pole panels and ceil(pi / (2 y)) panels per
+    segment, the refined pass twice as many of each.
+
+    Both passes' nodes are one grid of 96 segments: one ring average on the
+    pole nodes and every tail node, and one sin and cos on the pole nodes
+    and segment 0's.  Segment j is segment 0 shifted by j pi / y, where
+    sin(y k) and cos(y k) are segment 0's times (-1)^j: the rule weights
+    are folded onto segment 0's phases (ws, wc), and a pass's segment sums
+    are GS @ ws + GC @ wc on its own segments and nodes, GS and GC the
+    ring-average factors S and C times (-1)^j 2k^4 / ((k + 1)(k - 1)); so
+    no sine is taken of a large argument y k.
+    """
+    nodes, k4, w_pole = _pole_grid(max(8, math.ceil(_TAIL_START * y
+                                                    / math.pi)))
+    t, w_tail = _tail_grid(math.ceil(math.pi / y / 2.0))
     seg_len = math.pi / y
-    t, w = _unit_panels(split, _TAIL_POINTS)
-    k0 = _TAIL_START + seg_len * t
-    w = seg_len * w
-    ws, wc = w * np.sin(y * k0), w * np.cos(y * k0)
-    k = k0 + seg_len * np.arange(n_seg)[:, None]
-    s, c = _ring_average(y * k, inv, hel)
-    k2 = k * k
-    g = 2.0 * k2 * k2 / (k2 - 1.0)
-    sums = (g * s) @ ws + (g * c) @ wc
-    sums[1::2] *= -1.0
-    return sums
+    k = (_TAIL_START + seg_len * t) + seg_len * _SEGMENT
+    z = y * np.concatenate([nodes.ravel(), k.ravel()])
+    s, c = _ring_average(z, inv, hel)
+    head = nodes.size + t.size                  # the pole and segment 0
+    sin, cos = np.sin(z[:head]), np.cos(z[:head])
+    del z
+
+    # q(k) = h(k) 2k/(k+1), h(k) = (3n/8) k^3 times the ring average,
+    # less the factor 3n/8 until the end: the window's upper half against
+    # its mirror
+    pole, tail = slice(nodes.size), slice(nodes.size, None)
+    q = k4.ravel() * (s[pole] * sin[pole] + c[pole] * cos[pole])
+    pv = w_pole @ (q[:nodes.shape[1]] - q[nodes.shape[1]:])
+
+    w = seg_len * w_tail
+    ws, wc = w * sin[tail], w * cos[tail]
+    # (-1)^j 2k^4 / (k^2 - 1), in place on k, then on S and C
+    k *= k
+    g = _TWO_SIGNS * k
+    g *= k
+    k -= 1.0
+    g /= k
+    gs, gc = s[tail].reshape(g.shape), c[tail].reshape(g.shape)
+    gs *= g
+    gc *= g
+    base = t.size // 3
+    return pv, [gs[:n_seg, nodes_p] @ ws[nodes_p]
+                + gc[:n_seg, nodes_p] @ wc[nodes_p]
+                for n_seg, nodes_p in ((_TAIL_SEGMENTS, slice(base)),
+                                       (2 * _TAIL_SEGMENTS,
+                                        slice(base, None)))]
 
 
-def _f2_single(x, m, inv, refine=1):
-    """One pass of the f2 quadrature, one distinct index at a time; refine
-    = 2 doubles the pole panels, the tail segments and the panels per tail
-    segment of the base pass (refine = 1)."""
+def _f2_passes(x, m, inv):
+    """The base and the refined pass of the f2 quadrature, as Python
+    floats, one distinct index at a time: the pole window's PV sum plus
+    the Euler mean of the tail's partial sums, per pass."""
     total = 0.0
     for n, hel in _by_index(m).items():
-        y = n * x
-        n_pan = refine * max(8, math.ceil(_TAIL_START * y / math.pi))
-        n_seg = refine * _TAIL_SEGMENTS
-        split = refine * math.ceil(math.pi / y / 2.0)
-
-        # q(k) = h(k) 2k/(k+1), h(k) = (3n/8) k^3 times the ring average,
-        # less the factor 3n/8 until the end: the window's upper half
-        # against its mirror, then the tail
-        nodes, k4, w = _pole_grid(n_pan)
-        z = y * nodes
-        s, c = _ring_average(z, inv, hel)
-        q = k4 * (s * np.sin(z) + c * np.cos(z))
-        pv = float(w @ (q[0] - q[1]))
-        partial = np.cumsum(_tail_segments(y, inv, hel, n_seg, split))
-        tail = float(_euler_weights(n_seg) @ partial)
-        total += (3.0 * n / 8.0) * (pv + tail) / math.pi
-    return total
+        pv, sums = _f2_sums(n * x, inv, hel)
+        tail = np.array([_euler_weights(seg.size) @ np.cumsum(seg)
+                         for seg in sums])
+        total = total + (3.0 * n / 8.0) * (pv + tail) / math.pi
+    return tuple(total.tolist())
 
 
 def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
@@ -383,9 +461,7 @@ def f2_oracle(x: float, m: MediumChirality, g: DipoleGeometry, *,
         raise InvalidSeparation(
             f"separation x={x} is too small for the f2 oracle: n*x must stay "
             f"at or above {_Y_FLOOR:g}")
-    inv = _ring(g)
-    coarse = _f2_single(x, m, inv)
-    fine = _f2_single(x, m, inv, refine=2)
+    coarse, fine = _f2_passes(x, m, _ring(g))
     drift = abs(fine - coarse)
     scale = max(abs(fine), 0.01)
     if drift > refine_tol * scale:

@@ -27,7 +27,9 @@ They are evaluated with numpy alone, on one of two branches per element:
 
 Each branch runs on its own elements alone (``_aux``, as f1's brackets do
 at their own switch), and the Laguerre rule in blocks of _BLOCK elements,
-which caps its (nodes x elements) temporary.
+which caps its (nodes x 2 x elements) products.  The rule's nodes are
+summed by one reduction over the node axis, in node order, so an array's
+elements are bitwise the float calls'.
 
 ``aux_i1`` and ``aux_i2`` take a float or an array of u; a float in gives
 float fields out.  Their ``est_abs_error`` is _ERR times the value (times
@@ -141,22 +143,27 @@ def _series(u):
 def _gauss_laguerre(u):
     """(I1, I2) rows for a 1-d u >= U_SERIES from the Laguerre rule, with
     z = 1/u^2 and one row of q = 1 / (t^2 z + 1) per node, _BLOCK elements
-    at a time.  The nodes are summed by elementwise adds, in the same order
-    for every size of u; a matrix product is not, and an array's elements
-    would then differ from the float calls."""
+    at a time.  The (nodes x 2 x block) products of q and the weights are
+    summed by one np.add.reduce over the node axis, which is never the
+    inner loop of the reduction (its stride is the largest), so it adds in
+    node order for every size of u; a matrix product does not, and an
+    array's elements would then differ from the float calls."""
     acc = np.empty((2, u.size))
-    # one q buffer for all blocks: a fresh one per block pays its page
-    # faults every time, which doubled the cost of an 8000-element call
-    buffer = np.empty((len(_SQUARES), min(u.size, _BLOCK)))
+    # one q and one product buffer for all blocks, each block's views
+    # contiguous: fresh ones per block pay their page faults every time,
+    # which doubled the cost of an 8000-element call
+    q_buffer = np.empty(len(_SQUARES) * min(u.size, _BLOCK))
+    p_buffer = np.empty(2 * q_buffer.size)
     for i in range(0, u.size, _BLOCK):
         r = 1.0 / u[i:i + _BLOCK]
         z = r * r
-        q = np.multiply(_SQUARES, z, out=buffer[:, :z.size])
+        q = np.multiply(_SQUARES, z,
+                        out=q_buffer[:len(_SQUARES) * z.size].reshape(-1, z.size))
         q += 1.0
         np.reciprocal(q, out=q)
-        block = _W_I1_I2[0] * q[0]
-        for w, row in zip(_W_I1_I2[1:], q[1:]):
-            block += w * row
+        products = np.multiply(_W_I1_I2, q[:, None],
+                               out=p_buffer[:2 * q.size].reshape(-1, 2, z.size))
+        block = np.add.reduce(products, axis=0)
         block[0] *= z * z
         block[1] *= z * r
         acc[:, i:i + _BLOCK] = block

@@ -1,6 +1,7 @@
-"""tools/bench_pairs.py: the gain and worse verdicts of its summary, on
-synthetic runs, the order of its runs, the verdict lines it prints, the
-digest of the code each side ran, and what it writes when a run fails."""
+"""tools/bench_pairs.py: the gain and worse verdicts and the per-pair change
+of its summary, on synthetic runs, the order of its runs, the verdict lines
+it prints, the digest of the code each side ran, and what it writes when a
+run fails."""
 
 import hashlib
 import importlib.util
@@ -106,6 +107,34 @@ def test_spread_beyond_the_bound_is_unresolved():
     assert metrics["items_per_s"]["unresolved"]
 
 
+def test_pair_change_is_the_median_change_within_a_pair():
+    # the host drifts between pairs: BEFORE reads 100 to 400 items/s.  The
+    # changes within the pairs are +10, +5, -25, +15 and +20 %, whose median
+    # is +10 %, while the medians over all pairs, 200 and 210, differ by 5
+    # %; setup_s, lower better, falls by 10 % in every pair but one, which
+    # a 0.0 BEFORE run leaves out
+    before = [_run(rate, setup) for rate, setup in
+              ((100.0, 1.0), (200.0, 2.0), (400.0, 0.0), (100.0, 4.0),
+               (200.0, 1.0))]
+    after = [_run(rate, setup) for rate, setup in
+             ((110.0, 0.9), (210.0, 1.8), (300.0, 0.5), (115.0, 3.6),
+              (240.0, 0.9))]
+    metrics = bench_pairs.summarize({"before": before, "after": after},
+                                    METRICS)["metrics"]
+    rate = metrics["items_per_s"]
+    assert abs(rate["change"] - 0.05) < 1e-12
+    assert abs(rate["pair_change"] - 0.10) < 1e-12
+    assert rate["wins"] == 4
+    assert abs(metrics["setup_s"]["pair_change"] - 0.10) < 1e-12
+    # no pair left: null, printed as n/a
+    zero = [_run(0.0, 0.0) for _ in range(3)]
+    metrics = bench_pairs.summarize({"before": zero, "after": zero},
+                                    METRICS)["metrics"]
+    assert metrics["items_per_s"]["pair_change"] is None
+    line = next(bench_pairs.report("verify", {"metrics": metrics}, 3))
+    assert "change n/a, per-pair change n/a," in line
+
+
 def _checkouts(tmp_path, monkeypatch, run_once):
     """BEFORE and AFTER directories under tmp_path, AFTER with a
     BENCHMARK.json of METRICS, the stub run_once in place and tmp_path as
@@ -180,8 +209,8 @@ def test_failed_run_keeps_the_runs_collected_so_far(tmp_path, monkeypatch):
 def test_each_workload_reports_its_verdicts_on_stderr(tmp_path, monkeypatch,
                                                        capsys):
     # after the last pair, one stderr line per workload and end-to-end
-    # metric gives both medians, the change, the wins, gain, worse and
-    # unresolved, and
+    # metric gives both medians, the change, the per-pair change, the wins,
+    # gain, worse and unresolved, and
     # the JSON keeps its layout.  AFTER serves twice the items and starts in
     # 1.4 times the time
     def run_once(checkout, workload, seed):
@@ -200,9 +229,11 @@ def test_each_workload_reports_its_verdicts_on_stderr(tmp_path, monkeypatch,
         for workload in ("sweep", "verify")
         for line in (
             f"{workload} items_per_s: median 100 -> 200, change +100.0%, "
-            "wins 4/4, gain True, worse False, unresolved False",
+            "per-pair change +100.0%, wins 4/4, gain True, worse False, "
+            "unresolved False",
             f"{workload} setup_s: median 1 -> 1.4, change -40.0%, "
-            "wins 0/4, gain False, worse True, unresolved False")]
+            "per-pair change -40.0%, wins 0/4, gain False, worse True, "
+            "unresolved False")]
     result = json.loads((tmp_path / "BENCH_stub.json").read_text())
     assert set(result) == {"label", "seed", "pairs", "seconds", "host",
                            "sources", "workloads"}

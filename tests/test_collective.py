@@ -186,6 +186,27 @@ def test_brackets_pick_series_or_direct_per_element():
             assert g.tobytes() == w.tobytes()
 
 
+def test_f2_evaluates_no_f1_brackets(monkeypatch):
+    # f2 evaluates F2's brackets alone: neither form of F1's brackets runs
+    # for it, at y on both sides of Y_SERIES, while a_t and
+    # collective_spectrum, which return F1 too, run both
+    from chidip import collective
+    seen = []
+    for name in ("_f1_series", "_f1_direct"):
+        def spy(v, name=name, inner=getattr(collective, name)):
+            seen.append(name)
+            return inner(v)
+        monkeypatch.setattr(collective, name, spy)
+    x = np.linspace(0.1, 4.0, 50)           # y = n x from 0.15 to 18
+    for xs in (x, 0.2, 3.0):
+        f2(xs, ACTIVE, ORTH)
+    assert seen == []
+    for both in (a_t, collective_spectrum):
+        both(x, ACTIVE, ORTH)
+        assert sorted(seen) == ["_f1_direct", "_f1_series"], both
+        seen.clear()
+
+
 def test_f2_brackets_match_mpmath_from_1e_99_to_2():
     # f2's brackets (d1, d2, -d3) by the trig form alone, where f1's take
     # the series: nothing cancels in them, so each is within a few eps of

@@ -108,6 +108,18 @@ def test_type_rejects_non_unit_vectors():
     with pytest.raises(InvalidGeometry):
         DipoleGeometry(np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.0, 0.0]),
                        np.array([1.0, 0.0, 0.0]), 1.0)
+    # a vector whose squares overflow is refused by the same message, and
+    # without a RuntimeWarning; a length within 1e-12 of 1 is taken
+    unit = np.array([1.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e155, 1e200, 1.7e308):
+            with pytest.raises(InvalidGeometry,
+                               match="d2_hat must be a unit 3-vector"):
+                DipoleGeometry(unit, np.array([0.0, big, big]), unit, 1.0)
+        g = DipoleGeometry(unit, np.array([0.0, 1.0 + 5e-13, 0.0]), unit,
+                           1.0)
+    assert g.d2_hat.tolist() == [0.0, 1.0 + 5e-13, 0.0]
 
 
 def test_orthogonal_perpendicular_invariants():

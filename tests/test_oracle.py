@@ -23,11 +23,12 @@ from chidip.specfun import aux_i1, aux_i2
 from chidip import oracle
 from chidip.oracle import (
     _euler_weights,
+    _f2_sums,
     _legendre_rule,
+    _polar_grid,
     _reduced_angular,
     _ring,
     _ring_average,
-    _tail_segments,
     _unit_panels,
     f1_oracle,
     f2_oracle,
@@ -207,29 +208,62 @@ def _fold(mu, weighted):
     return folded
 
 
+def _passes(n_polar):
+    """The polar rule sizes of f1's two passes and the slices of their
+    nodes in _polar_grid(n_polar)."""
+    return ((n_polar, slice(n_polar // 2)),
+            (2 * n_polar, slice(n_polar // 2, None)))
+
+
 def test_reduced_angular_matches_frame_built_ring_average():
     # d2 . M . d1 of frame-built M, averaged over an explicit 16-point phi
     # ring about r_hat at every node of the full rule, times the mu weights
-    # and folded, against the oracle's closed-form phi moments and half rule
+    # and folded, against the oracle's closed-form phi moments and half
+    # rule; for both passes, the n_polar-point rule and twice as many, each
+    # on its own nodes with weight 0 on the other pass's
     rng = np.random.default_rng(25)
     phi = 2.0 * np.pi * np.arange(16) / 16
     for _ in range(5):
         g = _random_geometry(rng)
         e_a, e_b = _transverse_frame(g.r_hat)
         for n_polar in (12, 64):
-            mu, wmu = _legendre_rule(n_polar)
             for s, _ in ACTIVE.channels:
                 half_mu, weighted = _reduced_angular(_ring(g), (s,), n_polar)
-                assert_allclose(half_mu, _reference_rule(n_polar)[0],
-                                rtol=0, atol=2 * EPS)
-                ring = np.array([[
-                    g.d2_hat @ _mode_dyadic(
-                        math.sqrt(1.0 - u * u)
-                        * (math.cos(p) * e_a + math.sin(p) * e_b)
-                        + u * g.r_hat, s)[3] @ g.d1_hat
-                    for p in phi] for u in mu])
-                want = _fold(mu, wmu * ring.mean(axis=1))
-                assert_allclose(weighted, want, rtol=0, atol=1e-14)
+                assert half_mu.shape == (3 * n_polar // 2,)
+                assert weighted.shape == (2, half_mu.size)
+                for p, (n, own) in enumerate(_passes(n_polar)):
+                    mu, wmu = _legendre_rule(n)
+                    assert_allclose(half_mu[own], _reference_rule(n)[0],
+                                    rtol=0, atol=2 * EPS)
+                    ring = np.array([[
+                        g.d2_hat @ _mode_dyadic(
+                            math.sqrt(1.0 - u * u)
+                            * (math.cos(f) * e_a + math.sin(f) * e_b)
+                            + u * g.r_hat, s)[3] @ g.d1_hat
+                        for f in phi] for u in mu])
+                    want = _fold(mu, wmu * ring.mean(axis=1))
+                    assert_allclose(weighted[p, own], want, rtol=0,
+                                    atol=1e-14)
+                    others = np.ones(half_mu.size, dtype=bool)
+                    others[own] = False
+                    assert np.all(weighted[p, others] == 0.0)
+
+
+def test_polar_grid_holds_both_rules():
+    # the mu > 0 halves of the n_polar- and 2 n_polar-point rules, nodes
+    # concatenated, each pass's doubled weights on its own nodes; kept per
+    # count and shared read-only
+    for n_polar in (12, 64, 576):
+        grid = mu, w = _polar_grid(n_polar)
+        for p, (n, own) in enumerate(_passes(n_polar)):
+            x, wx = _legendre_rule(n)
+            assert np.array_equal(mu[own], x[n // 2:])
+            assert np.array_equal(w[p, own], 2.0 * wx[n // 2:])
+            others = np.ones(mu.size, dtype=bool)
+            others[own] = False
+            assert np.all(w[p, others] == 0.0)
+        assert _polar_grid(n_polar) is grid
+        assert not (mu.flags.writeable or w.flags.writeable)
 
 
 def test_reduced_angular_is_linear_in_helicity():
@@ -244,6 +278,7 @@ def test_reduced_angular_is_linear_in_helicity():
             mu_l, left = _reduced_angular(inv, (1.0,), n_polar)
             mu_r, right = _reduced_angular(inv, (-1.0,), n_polar)
             assert np.array_equal(mu, mu_l) and np.array_equal(mu, mu_r)
+            assert both.shape == left.shape == right.shape == (2, mu.size)
             assert np.max(np.abs(both - (left + right))) \
                 <= 4 * EPS * np.max(np.abs([left, right]))
 
@@ -274,18 +309,19 @@ def _average(z, inv, hel):
 
 def test_ring_average_matches_gauss_legendre_of_the_same_polynomial():
     # the exact moments, as S sin z + C cos z, against the folded
-    # Gauss-Legendre rule of _reduced_angular, sized as f1_oracle sizes it,
-    # at z from 1e-3 to 2e3: S and C cancel terms of size 1/z^2 (measured
-    # <= 1.2 eps / z^2 of the scale), the rule rounds its phases z mu
-    # (measured <= 7.2 eps)
+    # Gauss-Legendre rules of _reduced_angular, sized as f1_oracle sizes
+    # them, both passes, at z from 1e-3 to 2e3: S and C cancel terms of size
+    # 1/z^2 (measured <= 1.2 eps / z^2 of the scale), the rules round their
+    # phases z mu (measured <= 7.2 eps)
     rng = np.random.default_rng(29)
     for z in np.geomspace(1e-3, 2e3, 60):
         inv, hel = _random_ring(rng)
         n_polar = 64 * math.ceil((0.55 * z + 40) / 64)
         mu, w = _reduced_angular(inv, hel, n_polar)
-        want = (w * np.exp(1j * z * mu)).real.sum() / 2
         got = _average(z, inv, hel)
-        assert abs(got - want) <= EPS * (32 + 2 / z**2) * _ring_scale(inv, hel)
+        for want in (w @ np.exp(1j * z * mu)).real / 2:
+            assert abs(got - want) \
+                <= EPS * (32 + 2 / z**2) * _ring_scale(inv, hel)
 
 
 def test_ring_average_matches_mpmath_moments():
@@ -312,47 +348,63 @@ def test_ring_average_matches_mpmath_moments():
 
 
 def test_f2_grids_split_the_tail_segments(monkeypatch):
-    # the tail has 48 segments at every y; the refined pass doubles the
-    # pole panels, the tail segments and the panels per segment, split =
-    # refine * ceil(pi / (2 y)), and the Euler mean takes one partial sum
-    # per segment.  At x = 0.05, y = 0.05 (n = 1) has half periods of 62.8
-    # in k/k0, so 48 segments of 32 panels; y = 0.15 (n = 3) 48 segments of
-    # 11.  From x = 20 to the ceiling n x = 500 the segments have one panel
-    # each.  The pole window has 2 max(8, ceil(2 y / pi)) panels, half of
-    # them on its upper half, which the fold takes: 16 at x = 0.05, 26 and
-    # 78 at 20, 214 and 638 at 500 / 3
+    # the base pass's tail has 48 segments at every y and the refined
+    # pass's 96; the refined pass doubles the pole panels and the panels
+    # per segment, split = ceil(pi / (2 y)) and 2 split, and each pass's
+    # Euler mean takes one partial sum per segment.  Per distinct index,
+    # one pole grid and one tail grid hold both passes.  At x = 0.05, y =
+    # 0.05 (n = 1) has half periods of 62.8 in k/k0, so segments of 32 and
+    # 64 panels; y = 0.15 (n = 3) of 11 and 22.  From x = 20 to the ceiling
+    # n x = 500 the segments have one and two panels.  The pole window has 2
+    # max(8, ceil(2 y / pi)) panels, half of them on its upper half, which
+    # the fold takes: 16 at x = 0.05, 26 and 78 at 20, 214 and 638 at 500 /
+    # 3, and twice as many refined
     seen = []
 
     def pole(n_pan):
-        seen.append(2 * n_pan)
-        return pole_grid(n_pan)
+        grid = pole_grid(n_pan)
+        seen.append(("pole", *(2 * np.count_nonzero(w) // 16
+                               for w in grid[2])))
+        return grid
 
-    def tail(y, inv, hel, n_seg, split):
-        seen.append((n_seg, split))
-        return tail_segments(y, inv, hel, n_seg, split)
+    def tail(split):
+        grid = tail_grid(split)
+        t = grid[0]
+        assert t.size == 30 * split
+        assert np.array_equal(t[:10 * split], _unit_panels(split, 10)[0])
+        assert np.array_equal(t[10 * split:], _unit_panels(2 * split, 10)[0])
+        seen.append(("tail", split, 2 * split))
+        return grid
+
+    def sums(y, inv, hel):
+        pv, segments = f2_sums(y, inv, hel)
+        seen.append(("segments", *(seg.size for seg in segments)))
+        return pv, segments
 
     def euler(n):
         seen.append(("euler", n))
         return euler_weights(n)
 
-    pole_grid, tail_segments = oracle._pole_grid, oracle._tail_segments
-    euler_weights = oracle._euler_weights
+    pole_grid, tail_grid = oracle._pole_grid, oracle._tail_grid
+    f2_sums, euler_weights = oracle._f2_sums, oracle._euler_weights
     monkeypatch.setattr(oracle, "_pole_grid", pole)
-    monkeypatch.setattr(oracle, "_tail_segments", tail)
+    monkeypatch.setattr(oracle, "_tail_grid", tail)
+    monkeypatch.setattr(oracle, "_f2_sums", sums)
     monkeypatch.setattr(oracle, "_euler_weights", euler)
     inv = _ring(ORTH)
     m = MediumChirality(1.0, 3.0)
-    for x, refine, (pole1, seg1, split1, pole3, seg3, split3) in (
-            (0.05, 1, (16, 48, 32, 16, 48, 11)),
-            (0.05, 2, (32, 96, 64, 32, 96, 22)),
-            (20.0, 1, (26, 48, 1, 78, 48, 1)),
-            (20.0, 2, (52, 96, 2, 156, 96, 2)),
-            (500.0 / 3.0, 1, (214, 48, 1, 638, 48, 1)),
-            (500.0 / 3.0, 2, (428, 96, 2, 1276, 96, 2))):
+    for x, (pole1, split1, pole3, split3) in (
+            (0.05, (16, 32, 16, 11)),
+            (20.0, (26, 1, 78, 1)),
+            (500.0 / 3.0, (214, 1, 638, 1))):
         seen.clear()
-        oracle._f2_single(x, m, inv, refine)
-        assert seen == [pole1, (seg1, split1), ("euler", seg1),
-                        pole3, (seg3, split3), ("euler", seg3)], (x, refine)
+        oracle._f2_passes(x, m, inv)
+        assert seen == [
+            step
+            for pole_panels, split in ((pole1, split1), (pole3, split3))
+            for step in (("pole", pole_panels, 2 * pole_panels),
+                         ("tail", split, 2 * split), ("segments", 48, 96),
+                         ("euler", 48), ("euler", 96))], x
 
 
 def test_unit_panels_are_the_rule_on_each_panel():
@@ -373,18 +425,26 @@ def test_unit_panels_are_the_rule_on_each_panel():
 
 
 def test_pole_grid_is_the_exact_fold_of_the_window():
-    # the upper half of the window [0, 2] and its mirror 2 - k, exact in
-    # floating point, with 2k^4/(k+1) at both and the PV weights w / (k -
-    # 1); kept per panel count and shared read-only
+    # the upper half of the window [0, 2] of both passes, the base pass's
+    # n_pan panels then the refined pass's 2 n_pan, and its mirror 2 - k,
+    # exact in floating point, with 2k^4/(k+1) at both and each pass's PV
+    # weights w / (k - 1) on its own nodes, 0 on the other's; kept per
+    # panel count and shared read-only
     for n_pan in (8, 13, 78):
         nodes, k4, w = oracle._pole_grid(n_pan)
-        t, wt = _unit_panels(n_pan, 16)
-        assert nodes.shape == k4.shape == (2, t.size) and w.shape == t.shape
+        rules = [_unit_panels(n, 16) for n in (n_pan, 2 * n_pan)]
+        t = np.concatenate([rule[0] for rule in rules])
+        assert nodes.shape == k4.shape == w.shape == (2, t.size)
         assert np.array_equal(nodes[0], 1.0 + t)
         assert np.array_equal(nodes[1], 2.0 - nodes[0])
         assert np.array_equal(nodes[0] - 1.0, 1.0 - nodes[1])
         assert_allclose(k4, 2.0 * nodes**4 / (nodes + 1.0), rtol=EPS)
-        assert_allclose(w, wt / (nodes[0] - 1.0), rtol=EPS)
+        own = (slice(16 * n_pan), slice(16 * n_pan, None))
+        for p, ((_, wt), mine, other) in enumerate(zip(rules, own,
+                                                       own[::-1])):
+            assert_allclose(w[p, mine], wt / (nodes[0, mine] - 1.0),
+                            rtol=EPS)
+            assert np.all(w[p, other] == 0.0)
         assert oracle._pole_grid(n_pan) is oracle._pole_grid(n_pan)
         assert not any(a.flags.writeable for a in (nodes, k4, w))
 
@@ -395,36 +455,38 @@ def test_tail_segments_match_a_direct_sum_at_30_digit_phases():
     # with z_0 = y k_0 at segment 0's node and sin z and cos z taken at 30
     # digits, so no sign of the half-period shift is assumed; S and C are
     # _ring_average's at y k, which the moment tests above check.  Segments
-    # 0, 1, the last and five at random of grids of f2 from y = 0.05 to
-    # 500, both passes, and of 49 segments; the bound is 2 eps of the
+    # 0, 1, the last and five at random of both passes of f2 from y = 0.05
+    # to 500, the base pass's 48 on split = ceil(pi / (2 y)) panels of 10
+    # points, the refined pass's 96 on 2 split; the bound is 2 eps of the
     # segment scale, the sum of w 2k^4 / ((k + 1)(k - 1)) (|S| + |C|) over
     # its nodes (measured <= 1.0)
     rng = np.random.default_rng(31)
-    for y, n_seg, split in ((0.05, 48, 32), (0.15, 96, 22), (1.0, 49, 1),
-                            (20.0, 48, 1), (60.0, 96, 2),
-                            (500.0, 48, 1), (500.0, 96, 2)):
+    for y in (0.05, 0.15, 1.0, 20.0, 60.0, 500.0):
         inv, hel = _random_ring(rng)
         seg_len = math.pi / y
-        t, w = _unit_panels(split, 10)
-        k0 = 2.0 + seg_len * t
-        z0, w = y * k0, seg_len * w
-        got = _tail_segments(y, inv, hel, n_seg, split)
-        assert got.shape == (n_seg,)
-        segs = sorted({0, 1, n_seg - 1, *rng.integers(n_seg, size=5)})
-        k = k0 + seg_len * np.array(segs)[:, None]
-        s, c = _ring_average(y * k, inv, hel)
-        with mpmath.workdps(30):
-            for j, *row in zip(segs, k, s, c):
-                want = scale = 0
-                for z, wi, ki, si, ci in zip(z0, w, *row):
-                    z = mpmath.mpf(float(z)) + int(j) * mpmath.pi
-                    ki = mpmath.mpf(float(ki))
-                    g = float(wi) * 2 * ki**4 / ((ki + 1) * (ki - 1))
-                    want += g * (float(si) * mpmath.sin(z)
-                                 + float(ci) * mpmath.cos(z))
-                    scale += abs(g) * (abs(float(si)) + abs(float(ci)))
-                assert abs(got[j] - float(want)) <= 2 * EPS * float(scale), \
-                    (y, j)
+        split = math.ceil(math.pi / y / 2.0)
+        passes = _f2_sums(y, inv, hel)[1]
+        assert [seg.size for seg in passes] == [48, 96]
+        for got, refine in zip(passes, (1, 2)):
+            n_seg = got.size
+            t, w = _unit_panels(refine * split, 10)
+            k0 = 2.0 + seg_len * t
+            z0, w = y * k0, seg_len * w
+            segs = sorted({0, 1, n_seg - 1, *rng.integers(n_seg, size=5)})
+            k = k0 + seg_len * np.array(segs)[:, None]
+            s, c = _ring_average(y * k, inv, hel)
+            with mpmath.workdps(30):
+                for j, *row in zip(segs, k, s, c):
+                    want = scale = 0
+                    for z, wi, ki, si, ci in zip(z0, w, *row):
+                        z = mpmath.mpf(float(z)) + int(j) * mpmath.pi
+                        ki = mpmath.mpf(float(ki))
+                        g = float(wi) * 2 * ki**4 / ((ki + 1) * (ki - 1))
+                        want += g * (float(si) * mpmath.sin(z)
+                                     + float(ci) * mpmath.cos(z))
+                        scale += abs(g) * (abs(float(si)) + abs(float(ci)))
+                    assert abs(got[j] - float(want)) \
+                        <= 2 * EPS * float(scale), (y, refine, j)
 
 
 def test_euler_weights_are_iterated_pairwise_averaging():
@@ -457,7 +519,8 @@ def test_radial_rule_caches_are_bounded():
     assert oracle._pole_grid.cache_info().currsize == oracle._RULES_KEPT
     assert oracle._pole_grid(100) is grid
     assert {f.cache_info().maxsize for f in (
-        oracle._unit_panels, oracle._pole_grid)} == {64}
+        oracle._unit_panels, oracle._pole_grid, oracle._tail_grid,
+        oracle._polar_grid)} == {64}
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +623,8 @@ def test_f2_oracle_error_is_bounded_by_its_drift():
     rng = np.random.default_rng(7)
     for x, m in _drift_cases(rng):
         g = _random_geometry(rng)
-        inv = _ring(g)
-        coarse = oracle._f2_single(x, m, inv)
-        drift = abs(oracle._f2_single(x, m, inv, refine=2) - coarse)
+        coarse, fine = oracle._f2_passes(x, m, _ring(g))
+        drift = abs(fine - coarse)
         want = f2(x, m, geometry_factors(g))
         assert abs(coarse - want) <= 10 * drift + 1e-13 * max(abs(want),
                                                               0.01), (x, m)

@@ -12,9 +12,12 @@ from chidip import collective, specfun
 from chidip.specfun import (
     U_SERIES,
     _aux,
+    _BLOCK,
     _gauss_laguerre,
     _NODES,
     _series,
+    _SQUARES,
+    _W_I1_I2,
     _WEIGHTS,
 )
 
@@ -117,12 +120,45 @@ def test_branches_agree_at_the_switches():
 
 def test_array_elements_equal_float_calls():
     # every branch, the Laguerre rule's sum over its nodes included, gives
-    # an array's elements bitwise as it gives the float calls
-    u = np.concatenate([10 ** np.random.default_rng(5).uniform(-3, 6, 300),
-                        np.geomspace(U_SERIES, 1e6, 600)])
-    for aux in (aux_i1, aux_i2):
-        values = aux(u).value
-        assert all(aux(float(v)).value == values[k] for k, v in enumerate(u))
+    # an array's elements bitwise as it gives the float calls; the Laguerre
+    # elements of the second array fill two blocks of _BLOCK and part of a
+    # third, so both block seams fall among them
+    rng = np.random.default_rng(5)
+    for u in (np.concatenate([10 ** rng.uniform(-3, 6, 300),
+                              np.geomspace(U_SERIES, 1e6, 600)]),
+              np.concatenate([np.geomspace(1e-3, U_SERIES, 50, endpoint=False),
+                              10 ** rng.uniform(np.log10(U_SERIES), 6,
+                                                2 * _BLOCK + 300)])):
+        for aux in (aux_i1, aux_i2):
+            values = aux(u).value
+            assert all(aux(float(v)).value == values[k]
+                       for k, v in enumerate(u))
+
+
+def _node_loop(u):
+    """(I1, I2) of the Laguerre rule with its nodes added one at a time,
+    in the rule's order: the reference for _gauss_laguerre's reduction."""
+    r = 1.0 / u
+    z = r * r
+    acc = None
+    for t2, w in zip(_SQUARES, _W_I1_I2):
+        q = 1.0 / (t2 * z + 1.0)
+        acc = w * q if acc is None else acc + w * q
+    acc[0] *= z * z
+    acc[1] *= z * r
+    return acc
+
+
+def test_laguerre_rule_sums_its_nodes_in_order():
+    # _gauss_laguerre's one reduction over the node axis adds the nodes in
+    # their order, bitwise as a sequential loop does, on every block size
+    # and across the block seams; a reduction that changed its order
+    # (pairwise, or a matrix product) would fail here
+    rng = np.random.default_rng(6)
+    for size in (1, 2, 3, 37, 38, 39, 128, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                 2 * _BLOCK + 77):
+        u = 10 ** rng.uniform(np.log10(U_SERIES), 300, size)
+        assert _gauss_laguerre(u).tobytes() == _node_loop(u).tobytes(), size
 
 
 def test_each_branch_runs_on_its_own_elements(monkeypatch):

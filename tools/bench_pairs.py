@@ -15,11 +15,16 @@ BENCH_<label>.json, written to the current directory, holds per workload
 every run's result line, whether each side's runs were all ``correct``
 and the requests each side ``failed`` in total, and, per end-to-end
 metric of BENCHMARK.json: each side's median and quartiles, the relative
-change of the median (positive = better), and the pairs AFTER won (ties
-count for neither).  ``gain`` is true when every run of both sides was
-correct, AFTER failed no more requests than BEFORE, AFTER won at least
-nine tenths of the pairs and the medians differ by more than the distance
-between BEFORE's quartiles.  ``worse`` is true when the change of the
+change of the median (positive = better), ``pair_change``, the median over
+pairs of the relative change within each pair (positive = better; pairs
+whose BEFORE run reads 0 are left out, and it is null when no pair is
+left), and the pairs AFTER won (ties count for neither).  Host speed that
+drifts from pair to pair moves both runs of a pair alike, so
+``pair_change`` shows a change the medians over all pairs can hide.
+``gain`` is true when every run of both sides was correct, AFTER failed
+no more requests than BEFORE, AFTER won at least nine tenths of the pairs
+and the medians differ by more than the distance between BEFORE's
+quartiles.  ``worse`` is true when the change of the
 median is below minus the metric's ``bound`` in BENCHMARK.json.
 ``unresolved`` is true when BEFORE's spread, the distance between its
 quartiles over |median|, exceeds that bound, unless every AFTER run beats
@@ -30,8 +35,8 @@ checkout and then its bytes, each prefixed by its length.  It reads the
 files alone, so a checkout need not be a git repository.
 
 After the last pair, one stderr line per workload and end-to-end metric
-gives both medians, the change, the wins, ``gain``, ``worse`` and
-``unresolved``.
+gives both medians, the change, the per-pair change, the wins, ``gain``,
+``worse`` and ``unresolved``.
 
 A run that exits nonzero ends the measurement: BENCH_<label>.json then
 holds every workload's runs collected so far, none summarized, and
@@ -79,9 +84,10 @@ def source_digest(checkout: Path) -> str:
 
 def summarize(runs, metrics):
     """Whether each side's runs were all correct and how many requests they
-    failed, and per end-to-end metric: both sides' quartiles, the wins of
-    AFTER, whether they make a gain, whether the median got worse beyond
-    the metric's bound and whether BEFORE's spread leaves it unresolved."""
+    failed, and per end-to-end metric: both sides' quartiles, the change of
+    the median and the median change within a pair, the wins of AFTER,
+    whether they make a gain, whether the median got worse beyond the
+    metric's bound and whether BEFORE's spread leaves it unresolved."""
     correct = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
     failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     # a change that gets answers wrong or drops requests gains nothing
@@ -93,8 +99,9 @@ def summarize(runs, metrics):
                   for side in SIDES}
         quartiles = {side: statistics.quantiles(v, n=4, method="inclusive")
                      for side, v in values.items()}
-        wins = sum(sign * (a - b) > 0
-                   for b, a in zip(values["before"], values["after"]))
+        pairs = list(zip(values["before"], values["after"]))
+        wins = sum(sign * (a - b) > 0 for b, a in pairs)
+        within = [sign * (a - b) / abs(b) for b, a in pairs if b]
         beats_all = all(sign * (a - b) > 0 for a in values["after"]
                         for b in values["before"])
         q1, med, q3 = quartiles["before"]
@@ -106,6 +113,7 @@ def summarize(runs, metrics):
             **{side: {"q1": q[0], "median": q[1], "q3": q[2]}
                for side, q in quartiles.items()},
             "change": change,
+            "pair_change": statistics.median(within) if within else None,
             "wins": wins,
             "gain": (sound and wins >= 0.9 * len(values["before"])
                      and gap > q3 - q1),
@@ -116,12 +124,17 @@ def summarize(runs, metrics):
     return {"correct": correct, "failed": failed, "metrics": out}
 
 
+def _percent(change):
+    return "n/a" if change is None else f"{change:+.1%}"
+
+
 def report(workload, summary, pairs):
     """One line per end-to-end metric of a workload's summary."""
     for name, entry in summary["metrics"].items():
-        change = "n/a" if entry["change"] is None else f"{entry['change']:+.1%}"
         yield (f"{workload} {name}: median {entry['before']['median']:.6g} "
-               f"-> {entry['after']['median']:.6g}, change {change}, wins "
+               f"-> {entry['after']['median']:.6g}, change "
+               f"{_percent(entry['change'])}, per-pair change "
+               f"{_percent(entry['pair_change'])}, wins "
                f"{entry['wins']}/{pairs}, gain {entry['gain']}, worse "
                f"{entry['worse']}, unresolved {entry['unresolved']}")
 
