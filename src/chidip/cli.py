@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import collective, dynamics
+from . import _format, collective, dynamics
 from .collective import LambCutoff, MediumChirality
 from .errors import ChidipError, UsageError
 from .geometry import geometry_factors, normalize_geometry
@@ -64,6 +64,9 @@ _DEFAULT_TIME_GRID = "0:5:200"
 # most points of a START:STOP:POINTS grid; numpy refuses or runs out of
 # memory on grids many orders of magnitude larger
 _MAX_POINTS = 10**6
+# values per emitted block: the emit holds about 3 MB whatever the table
+# size, and the formatter costs least per value from 2 to 8 k values
+_BLOCK_VALUES = 8192
 
 
 class _Help(UsageError):
@@ -294,28 +297,47 @@ def parse_config(tokens) -> SweepRequest:
 def _emit_table(columns, fmt, out):
     """Write named columns of equal length, at least one row, as CSV or JSON.
 
-    One row template per table, applied to every row with %: CSV rows are
-    "%.15g" per value (>= 12 significant digits, locale independent) with
-    -0.0 folded to 0; JSON is an indented list of one object per row with
-    each value's shortest round-trip repr, byte-identical to
-    json.dumps(rows, indent=2) plus a newline.  Column names are plain
-    identifiers, written as they are.  The values are finite on every exit-0
-    path; a non-finite one would be spelled nan/inf in both formats, not
-    JSON's NaN/Infinity.
+    CSV rows are "%.15g" per value (>= 12 significant digits, locale
+    independent) with -0.0 folded to 0; JSON is an indented list of one
+    object per row with each value's shortest round-trip repr,
+    byte-identical to json.dumps(rows, indent=2) plus a newline.  The
+    spellings are CPython's, from chidip._format, which proves each one or
+    hands it to Python's own %.  Column names are plain identifiers, written
+    as they are.  The values are finite on every exit-0 path; a non-finite
+    one would be spelled nan/inf in both formats, not JSON's NaN/Infinity.
+
+    Rows go out in blocks of about _BLOCK_VALUES values, each block and each
+    separator in its own write, so memory stays bounded by the block.
     """
-    header = list(columns)
+    names = list(columns)
     values = [np.asarray(c, dtype=float) for c in columns.values()]
     if fmt == "csv":
-        head, sep, tail = ",".join(header) + "\n", "\n", "\n"
-        tmpl = ",".join(["%.15g"] * len(header))
-        values = [v + 0.0 for v in values]
+        head, sep, tail = ",".join(names) + "\n", "", ""
+        spell, lead, end = _format.g15, "", "\n"
+        after = [","] * (len(names) - 1) + [end]
     else:
         head, sep, tail = "[\n", ",\n", "\n]\n"
-        tmpl = "  {\n" + ",\n".join(f'    "{name}": %r'
-                                    for name in header) + "\n  }"
-    rows = zip(*(v.tolist() for v in values))
+        spell, end = _format.shortest, "\n  }"
+        lead = f'  {{\n    "{names[0]}": '
+        after = [f',\n    "{name}": ' for name in names[1:]]
+        after.append(end + sep + lead)
+    lead, end, after = lead.encode(), end.encode(), [a.encode() for a in after]
+    step = max(1, _BLOCK_VALUES // len(values))
     out.write(head)
-    out.write(sep.join(map(tmpl.__mod__, rows)))
+    for start in range(0, len(values[0]), step):
+        block = np.column_stack([v[start:start + step]
+                                 for v in values]).ravel()
+        if fmt == "csv":
+            block += 0.0                      # -0.0 -> 0.0
+        # lead, then each value followed by its literal; the block's last
+        # literal is its end
+        parts = [lead] * (2 * block.size + 1)
+        parts[1::2] = spell(block)
+        parts[2::2] = after * (block.size // len(values))
+        parts[-1] = end
+        if start:
+            out.write(sep)
+        out.write(b"".join(parts).decode())
     out.write(tail)
 
 

@@ -1,7 +1,7 @@
 """tools/bench_pairs.py: the gain and worse verdicts and the per-pair change
 of its summary, on synthetic runs, the order of its runs, the verdict lines
-it prints, the digest of the code each side ran, and what it writes when a
-run fails."""
+it prints, the digest of the code each side ran, the bytecode it clears
+before the first pair, and what it writes when a run fails."""
 
 import hashlib
 import importlib.util
@@ -290,3 +290,33 @@ def test_sources_name_the_code_each_side_ran(tmp_path, monkeypatch):
         files["collective.py"])
     got = sources()
     assert got["after"] == _digest(files) != got["before"]
+
+
+def test_bytecode_under_src_and_perfbench_goes_before_the_first_run(
+        tmp_path, monkeypatch):
+    # with PYTHONDONTWRITEBYTECODE=1 a side holding a __pycache__ imports
+    # bytecode while the other compiles its sources in every set-up probe;
+    # both sides' caches under src/ and perfbench/ are gone before any run,
+    # and nothing else is touched
+    seen = []
+
+    def run_once(checkout, workload, seed):
+        seen.append([c for c in caches if (tmp_path / c).exists()])
+        return _run(100.0, 1.0)
+
+    _checkouts(tmp_path, monkeypatch, run_once)
+    caches = [Path(side, top, *sub, "__pycache__")
+              for side in bench_pairs.SIDES
+              for top, *sub in (("src", "chidip"), ("perfbench",))]
+    kept = tmp_path / "before" / "tools" / "__pycache__"
+    for cache in [tmp_path / c for c in caches] + [kept]:
+        cache.mkdir(parents=True)
+        (cache / "module.cpython-311.pyc").write_bytes(b"stale")
+    (tmp_path / "after" / "src" / "chidip" / "cli.py").write_text("code")
+    assert bench_pairs.main([str(tmp_path / "before"), str(tmp_path / "after"),
+                             "--workload", "sweep", "--seed", "1", "--pairs",
+                             "2", "--label", "stub"]) == 0
+    assert seen == [[]] * 4
+    assert (kept / "module.cpython-311.pyc").read_bytes() == b"stale"
+    assert (tmp_path / "after" / "src" / "chidip" / "cli.py").read_text() \
+        == "code"

@@ -9,7 +9,10 @@ the src/ next to it.  Pair k of every workload runs before pair k + 1 of
 any, so that load lasting several pairs falls on all workloads alike
 instead of on one.  Within pair k, BEFORE runs first when k is even and
 AFTER first when k is odd, so that neither side always meets a warmer or
-cooler machine.
+cooler machine.  Before the first pair, the ``__pycache__`` directories
+under each side's src/ and perfbench/ are removed, so that both sides
+compile their sources alike instead of one importing bytecode left by an
+earlier test run.
 
 BENCH_<label>.json, written to the current directory, holds per workload
 every run's result line, whether each side's runs were all ``correct``
@@ -51,6 +54,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -69,6 +73,14 @@ def run_once(checkout: Path, workload: str, seed: int):
          "--workload", workload, "--seed", str(seed)],
         cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def clear_bytecode(checkout: Path) -> None:
+    """Remove the __pycache__ directories under the checkout's src/ and
+    perfbench/."""
+    for top in ("src", "perfbench"):
+        for cache in sorted((checkout / top).glob("**/__pycache__")):
+            shutil.rmtree(cache)
 
 
 def source_digest(checkout: Path) -> str:
@@ -166,6 +178,8 @@ def main(argv=None) -> int:
     }
     runs = {workload: {side: [] for side in SIDES}
             for workload in args.workload}
+    for checkout in checkouts.values():
+        clear_bytecode(checkout)
     try:
         for k in range(args.pairs):
             for workload in args.workload:
